@@ -47,7 +47,6 @@ from repro.service.router import (
     InprocShard,
     ProcessShard,
     RouterStats,
-    Shard,
     ShardRouter,
     resolve_shard_mode,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "ShardRouter",
     "BackgroundRouter",
     "RouterStats",
-    "Shard",
     "ProcessShard",
     "InprocShard",
     "resolve_shard_mode",

@@ -19,9 +19,11 @@ is that dialect, factored out once:
   :class:`ConnectionStats` counts open/total/peak/keep-alive reuse for
   ``/stats``.
 
-Subclasses implement :meth:`JsonHttpServer._route` (and optionally
-:meth:`JsonHttpServer.note_request`); :class:`BackgroundHost` runs any such
-server on a daemon thread for tests and benchmarks.
+Subclasses declare the endpoint tables :attr:`JsonHttpServer.routes` /
+:attr:`JsonHttpServer.prefix_routes` and the handlers they name (and
+optionally override :meth:`JsonHttpServer.note_request`);
+:class:`BackgroundHost` runs any such server on a daemon thread for tests
+and benchmarks.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import contextlib
 import json
 import socket
 import threading
+from collections.abc import Mapping
 from typing import Any
 
 from repro.errors import ReproError
@@ -39,6 +42,7 @@ __all__ = [
     "MAX_BODY_BYTES",
     "BadRequest",
     "Unavailable",
+    "parse_json_body",
     "require",
     "require_ks",
     "set_nodelay",
@@ -69,19 +73,20 @@ class Unavailable(Exception):
     """The service is shutting down or a dependency is gone (a 503 body)."""
 
 
+#: Readable names for the numeric kinds (both of which refuse ``bool``).
+_NUMERIC_KINDS = {int: "an integer", (int, float): "a number"}
+
+
 def require(payload: dict, field: str, kind, *, optional=False, default=None):
-    """One field of a JSON body, type-checked (bool is not an int here)."""
+    """One field of a JSON body, type-checked (bool is not a number here)."""
     if field not in payload:
         if optional:
             return default
         raise BadRequest(f"missing required field {field!r}")
     value = payload[field]
-    if kind is int and isinstance(value, bool):
-        raise BadRequest(f"field {field!r} must be an integer")
-    if not isinstance(value, kind):
-        raise BadRequest(
-            f"field {field!r} must be {getattr(kind, '__name__', kind)}"
-        )
+    numeric = _NUMERIC_KINDS.get(kind)
+    if not isinstance(value, kind) or (numeric and isinstance(value, bool)):
+        raise BadRequest(f"field {field!r} must be {numeric or kind.__name__}")
     return value
 
 
@@ -93,6 +98,17 @@ def require_ks(payload: dict) -> list[int]:
     ):
         raise BadRequest("'ks' must be a non-empty list of integers")
     return ks
+
+
+def parse_json_body(body: bytes) -> dict:
+    """Decode a POST body into a JSON object (400 on anything else)."""
+    try:
+        payload = json.loads(body.decode("utf-8")) if body else None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise BadRequest(f"invalid JSON body: {exc}") from None
+    if not isinstance(payload, dict):
+        raise BadRequest("request body must be a JSON object")
+    return payload
 
 
 def set_nodelay(sock: Any) -> None:
@@ -159,6 +175,12 @@ class JsonHttpServer:
         immediate 503 (``None`` = unbounded).
     """
 
+    #: The exact-match endpoint table, ``path -> (verb, handler
+    #: attribute)``, and the prefix-matched one whose handlers receive the
+    #: raw path. Both servers in the tier serve the same tables.
+    routes: Mapping[str, tuple[str, str]] = {}
+    prefix_routes: Mapping[str, tuple[str, str]] = {}
+
     def __init__(
         self,
         *,
@@ -221,8 +243,33 @@ class JsonHttpServer:
     # Subclass hooks
     # ------------------------------------------------------------------
     async def _route(self, method: str, path: str, body: bytes):
-        """Answer one request: ``(status, payload-dict)``."""
-        raise NotImplementedError
+        """Answer one request from :attr:`routes` / :attr:`prefix_routes`:
+        ``(status, payload-dict)`` (404 unknown path, 405 wrong verb, 503
+        while stopping)."""
+        route = self.routes.get(path)
+        prefixed = False
+        if route is None:
+            for prefix, entry in self.prefix_routes.items():
+                if path.startswith(prefix):
+                    route, prefixed = entry, True
+                    break
+        if route is None:
+            return 404, {"error": f"unknown path {path!r}"}
+        verb, attr = route
+        if method != verb:
+            return 405, {"error": f"{path} only accepts {verb}"}
+        if self._stopping:
+            return 503, {"error": "service is shutting down"}
+        handler = getattr(self, attr)
+        if prefixed:
+            return await handler(path)
+        if verb == "POST":
+            return await self._post(handler, path, body)
+        return await handler()
+
+    async def _post(self, handler, path: str, body: bytes):
+        """Call a POST handler: by default with the parsed JSON object."""
+        return await handler(parse_json_body(body))
 
     def note_request(self, endpoint: str | None, status: int) -> None:
         """Per-request accounting hook (endpoint is None before parsing)."""

@@ -4,10 +4,13 @@ One :class:`~repro.service.server.DisclosureService` process is capped by
 its single engine thread and by the fact that its plane-keyed cache lives
 in one address space. :class:`ShardRouter` is the scale-out tier the
 ROADMAP names: it supervises ``N`` child services and routes every request
-by its **plane key** — ``(mode, model, k, signature-multiset)``, exactly
-the engine's cache key — so repeated and same-shaped questions always land
+by its **plane key** — ``(mode, model, k, signature-multiset)``, the
+engine's cache key — so repeated and same-shaped questions always land
 on the shard that already has them cached. Cache locality is not
-best-effort here; it is the routing invariant.
+best-effort here; it is the routing invariant. The router and its shards
+derive a request's threat (tenant, mode, model, params) with the one
+function :func:`~repro.service.server.resolve_threat` and serve the one
+endpoint table :data:`~repro.service.server.ROUTES`.
 
 Shards come in two **modes** (``shard_mode``):
 
@@ -16,9 +19,9 @@ Shards come in two **modes** (``shard_mode``):
   asyncio subprocess pipes. This is the multi-core topology: N engine
   threads in N address spaces.
 - ``"inproc"`` — each shard is a :class:`DisclosureService` embedded in
-  the router process itself (booted via ``start_local``: engines,
-  coalescer, stats and per-shard cache persistence exactly as a
-  subprocess shard, minus the socket). Requests reach it through the
+  the router process itself (booted via ``start_local``: the engines,
+  coalescer, stats and per-shard cache persistence of a subprocess
+  shard, minus the socket). Requests reach it through the
   shared :meth:`~repro.service.httpbase.JsonHttpServer.dispatch` code
   path, so answers are bit-identical — but a hop costs a method call,
   not a socket round trip. This is the low-core topology: on a box with
@@ -87,26 +90,28 @@ from collections.abc import Mapping
 from pathlib import Path
 from typing import Any
 
-from repro.engine.base import available_adversaries, canonical_params
 from repro.service.httpbase import (
     BackgroundHost,
     BadRequest,
     JsonHttpServer,
     Unavailable,
+    parse_json_body,
     require,
     require_ks,
     set_nodelay,
 )
 from repro.service.server import (
+    PREFIX_ROUTES,
+    ROUTES,
     DisclosureService,
+    Threat,
     load_tenants,
-    parse_json_body,
+    resolve_threat,
 )
-from repro.service.wire import decode_params, signature_items_from_lists
+from repro.service.wire import signature_items_from_lists
 
 __all__ = [
     "RouterStats",
-    "Shard",
     "ProcessShard",
     "InprocShard",
     "resolve_shard_mode",
@@ -252,18 +257,14 @@ class ProcessShard:
             writer.close()
 
 
-#: Legacy alias: ``Shard`` predates the in-process mode.
-Shard = ProcessShard
-
-
 class InprocShard:
     """One embedded :class:`DisclosureService` shard (no process, no socket).
 
     It cannot die independently of the router, so ``alive()`` is simply
     "started" and there is nothing to supervise; its engines, coalescer,
-    stats and per-shard cache files behave exactly as a subprocess
-    shard's because it *is* a :class:`DisclosureService`, reached through
-    the same dispatch path a socket would reach.
+    stats and per-shard cache files behave as a subprocess shard's
+    because it *is* a :class:`DisclosureService`, reached through the same
+    dispatch path a socket would reach.
     """
 
     mode = "inproc"
@@ -289,42 +290,51 @@ class InprocShard:
 class _RouteEntry:
     """One memoized routing decision for a single-bucketization body."""
 
-    __slots__ = ("shard_index", "mode", "model", "k", "items", "buckets",
-                 "coalescible", "tenant", "params", "cparams", "params_wire")
+    __slots__ = ("shard_index", "threat", "k", "items", "buckets",
+                 "coalescible")
 
     def __init__(
-        self, shard_index, mode, model, k, items, buckets, coalescible,
-        tenant, params, cparams, params_wire,
+        self, shard_index: int, threat: Threat, k: int, items, buckets,
+        coalescible: bool,
     ) -> None:
         self.shard_index = shard_index
-        self.mode = mode
-        self.model = model
+        self.threat = threat
         self.k = k
         self.items = items
         #: Raw bucket lists, kept only for coalescible entries (they are
         #: what an upstream batch is built from on a memo hit).
         self.buckets = buckets
         self.coalescible = coalescible
-        self.tenant = tenant
-        #: Decoded constructor kwargs (the inproc peek needs real values),
-        #: their canonical tuple (the group/shard key needs hashability),
-        #: and the original wire object (a rebuilt upstream batch needs
-        #: the JSON shape back).
-        self.params = params
-        self.cparams = cparams
-        self.params_wire = params_wire
 
 
 class _RouterPending:
     """One single request awaiting the router-side upstream coalescer."""
 
-    __slots__ = ("body", "buckets", "params_wire", "future")
+    __slots__ = ("body", "entry", "future")
 
-    def __init__(self, body: bytes, buckets, params_wire, future) -> None:
+    def __init__(self, body: bytes, entry: _RouteEntry, future) -> None:
         self.body = body
-        self.buckets = buckets
-        self.params_wire = params_wire
+        self.entry = entry
         self.future = future
+
+
+def _batch_body(threat: Threat, bucketizations: list, ks: list[int]) -> bytes:
+    """An upstream ``/disclosure`` batch re-encoding ``threat``.
+
+    The batch names the model explicitly, which at the shard suppresses
+    tenant *defaults*, so the effective params ride along explicitly too.
+    """
+    batch = {
+        "bucketizations": bucketizations,
+        "ks": ks,
+        "model": threat.model,
+        "exact": threat.mode == "exact",
+    }
+    if threat.params_wire is not None:
+        batch["params"] = threat.params_wire
+    if threat.tenant is not None:
+        batch["tenant"] = threat.tenant
+    return json.dumps(batch).encode()
 
 
 async def _drain_stream(stream: asyncio.StreamReader) -> None:
@@ -383,6 +393,9 @@ class ShardRouter(JsonHttpServer):
         The router's own listening socket, as in
         :class:`~repro.service.httpbase.JsonHttpServer`.
     """
+
+    routes = ROUTES
+    prefix_routes = PREFIX_ROUTES
 
     def __init__(
         self,
@@ -458,12 +471,8 @@ class ShardRouter(JsonHttpServer):
         #: ``(path, body) -> _RouteEntry``: the zero-reparse routing memo.
         self._route_memo: dict[tuple[str, bytes], _RouteEntry] = {}
         #: The upstream coalescer's queue, keyed like the shard's own
-        #: coalescer plus the owning shard:
-        #: ``(shard, tenant, mode, model, k, canonical params)``.
-        self._pending: dict[
-            tuple[int, str | None, str, str, int, tuple],
-            list[_RouterPending],
-        ] = {}
+        #: coalescer plus the owning shard: ``(shard, threat identity, k)``.
+        self._pending: dict[tuple[int, tuple, int], list[_RouterPending]] = {}
         self._kick: asyncio.Event | None = None
         self._coalescer: asyncio.Task | None = None
         self._drain_tasks: set[asyncio.Task] = set()
@@ -866,16 +875,9 @@ class ShardRouter(JsonHttpServer):
         """Queue one routed single and await its (possibly batched) answer."""
         loop = asyncio.get_running_loop()
         future = loop.create_future()
-        key = (
-            entry.shard_index,
-            entry.tenant,
-            entry.mode,
-            entry.model,
-            entry.k,
-            entry.cparams,
-        )
+        key = (entry.shard_index, entry.threat.key, entry.k)
         self._pending.setdefault(key, []).append(
-            _RouterPending(body, entry.buckets, entry.params_wire, future)
+            _RouterPending(body, entry, future)
         )
         assert self._kick is not None
         self._kick.set()
@@ -883,7 +885,7 @@ class ShardRouter(JsonHttpServer):
 
     async def _coalesce_loop(self) -> None:
         """Drain pending singles into one upstream request per
-        ``(shard, tenant, mode, model, k, params)`` group.
+        ``(shard, threat identity, k)`` group.
 
         Mirrors the shard-side coalescer: while upstream exchanges are in
         flight, newly arriving singles keep queueing, so batches form
@@ -916,13 +918,13 @@ class ShardRouter(JsonHttpServer):
                     raise
 
     async def _run_group(
-        self,
-        key: tuple[int, str | None, str, str, int, tuple],
-        items: list[_RouterPending],
+        self, key: tuple[int, tuple, int], items: list[_RouterPending]
     ) -> None:
         """One drained group: forward solo bytes untouched, or batch."""
-        shard_index, tenant, mode, model, k, _cparams = key
+        shard_index, _identity, k = key
         shard = self.shards[shard_index]
+        # Every member shares the threat: it is part of the group key.
+        threat = items[0].entry.threat
         try:
             if len(items) == 1:
                 results = [
@@ -931,22 +933,11 @@ class ShardRouter(JsonHttpServer):
                     )
                 ]
             else:
-                batch = {
-                    "bucketizations": [p.buckets for p in items],
-                    "ks": [k],
-                    "model": model,
-                    "exact": mode == "exact",
-                }
-                # The rebuilt batch names the model explicitly, which at
-                # the shard suppresses tenant *defaults* — so the group's
-                # effective params ride along explicitly too (every member
-                # shares them: params are part of the group key).
-                if items[0].params_wire is not None:
-                    batch["params"] = items[0].params_wire
-                if tenant is not None:
-                    batch["tenant"] = tenant
+                body = _batch_body(
+                    threat, [p.entry.buckets for p in items], [k]
+                )
                 status, answer = await self._forward(
-                    shard, "POST", "/disclosure", json.dumps(batch).encode()
+                    shard, "POST", "/disclosure", body
                 )
                 if status != 200:
                     results = [(status, answer)] * len(items)
@@ -954,15 +945,7 @@ class ShardRouter(JsonHttpServer):
                     self.stats.coalesced_batches += 1
                     self.stats.coalesced_singles += len(items)
                     results = [
-                        (
-                            200,
-                            {
-                                "model": model,
-                                "k": k,
-                                "exact": mode == "exact",
-                                "value": series[str(k)],
-                            },
-                        )
+                        (200, threat.answer(k, series[str(k)]))
                         for series in answer["series"]
                     ]
         except Exception as exc:
@@ -984,75 +967,12 @@ class ShardRouter(JsonHttpServer):
             self.stats.by_endpoint[endpoint] += 1
         self.stats.by_status[status] += 1
 
-    def _mode(self, payload: dict) -> str:
-        exact = require(payload, "exact", bool, optional=True, default=False)
-        return "exact" if exact else "float"
-
-    def _model_name(self, payload: dict, default: str = "implication") -> str:
-        name = require(payload, "model", str, optional=True, default=default)
-        if name not in available_adversaries():
-            raise BadRequest(
-                f"unknown adversary model {name!r}; registered: "
-                f"{', '.join(available_adversaries())}"
-            )
-        return name
-
-    def _tenant(self, payload: dict) -> str | None:
-        """Validate the optional ``tenant`` field against the topology —
-        the same 400 the shard itself would produce, but before any
-        routing work."""
-        tenant = require(payload, "tenant", str, optional=True, default=None)
-        if tenant is None:
-            return None
-        if tenant not in self.tenants:
-            raise BadRequest(
-                f"unknown tenant {tenant!r}"
-                + (
-                    f"; configured: {', '.join(sorted(self.tenants))}"
-                    if self.tenants
-                    else " (no tenants configured)"
-                )
-            )
-        return tenant
-
-    def _effective_threat(
-        self, payload: dict, tenant: str | None
-    ) -> tuple[str, dict, tuple, Any]:
-        """The request's effective threat model, resolved exactly as the
-        shard's ``_resolve_model`` will resolve it — ``(name, decoded
-        params, canonical params, wire params)`` — so router and shard
-        always agree on the identity the shard key and cache key hash.
-        """
-        config = self.tenants.get(tenant) if tenant is not None else None
-        name = self._model_name(
-            payload, default=config["model"] if config else "implication"
-        )
-        if "params" in payload:
-            params = decode_params(payload["params"])  # ValueError -> 400
-            params_wire = payload["params"]
-        elif config is not None and "model" not in payload:
-            params = config["params"]
-            params_wire = config["params_wire"]
-        else:
-            params = {}
-            params_wire = None
-        return name, params, canonical_params(params), params_wire
-
-    def _shard_for(
-        self,
-        mode: str,
-        model: Any,
-        ks: tuple[int, ...],
-        buckets,
-        cparams: tuple = (),
-        tenant: str | None = None,
-    ):
-        """The owning shard, keyed without building a ``Bucketization``."""
+    def _shard_for(self, threat: Threat, model: Any, ks, items) -> int:
+        """The index of the shard owning one plane key."""
         key = shard_key(
-            mode, model, ks, signature_items_from_lists(buckets),
-            cparams, tenant,
+            threat.mode, model, ks, items, threat.cparams, threat.tenant
         )
-        return self.shards[key % len(self.shards)]
+        return key % len(self.shards)
 
     def _memoize(self, path: str, body: bytes, entry: _RouteEntry) -> None:
         if len(body) > _ROUTE_MEMO_BODY_MAX:
@@ -1062,44 +982,15 @@ class ShardRouter(JsonHttpServer):
             memo.pop(next(iter(memo)))  # bounded: drop the oldest entry
         memo[(path, body)] = entry
 
-    async def _route(self, method: str, path: str, body: bytes):
-        """Dispatch one request: the same endpoint table as the shards
-        (exact paths plus the ``/releases/{table}/{version}`` prefix),
-        routed by plane key or, for publish traffic, table affinity."""
-        routes = {
-            "/disclosure": ("POST", self._ep_disclosure),
-            "/safety": ("POST", self._ep_single_key),
-            "/compare": ("POST", self._ep_compare),
-            "/publish": ("POST", self._ep_publish),
-            "/models": ("GET", self._ep_models),
-            "/releases": ("GET", self._ep_releases),
-            "/stats": ("GET", self._ep_stats),
-            "/healthz": ("GET", self._ep_healthz),
-        }
-        route = routes.get(path)
-        if route is None and path.startswith("/releases/"):
-            if method != "GET":
-                return 405, {"error": f"{path} only accepts GET"}
-            if self._stopping:
-                return 503, {"error": "service is shutting down"}
-            return await self._ep_release(path)
-        if route is None:
-            return 404, {"error": f"unknown path {path!r}"}
-        verb, handler = route
-        if method != verb:
-            return 405, {"error": f"{path} only accepts {verb}"}
-        if self._stopping:
-            return 503, {"error": "service is shutting down"}
-        if verb == "POST":
-            entry = self._route_memo.get((path, body))
-            if entry is not None:
-                # Byte-identical body seen before: route it without
-                # touching JSON at all.
-                self.stats.route_memo_hits += 1
-                self.stats.reparse_avoided += 1
-                return await self._dispatch_single(path, body, entry)
-            return await handler(path, parse_json_body(body), body)
-        return await handler()
+    async def _post(self, handler, path: str, body: bytes):
+        """Route a byte-identical body seen before without touching JSON
+        at all; otherwise parse it for the endpoint handler."""
+        entry = self._route_memo.get((path, body))
+        if entry is not None:
+            self.stats.route_memo_hits += 1
+            self.stats.reparse_avoided += 1
+            return await self._dispatch_single(path, body, entry)
+        return await handler(path, parse_json_body(body), body)
 
     async def _dispatch_single(
         self, path: str, body: bytes, entry: _RouteEntry
@@ -1115,12 +1006,7 @@ class ShardRouter(JsonHttpServer):
         if shard.mode == "inproc":
             if entry.coalescible and shard.service is not None:
                 answer = shard.service.peek_single(
-                    entry.mode,
-                    entry.model,
-                    entry.k,
-                    entry.items,
-                    params=entry.params,
-                    tenant=entry.tenant,
+                    entry.threat, entry.k, entry.items
                 )
                 if answer is not None:
                     self.stats.fast_hits += 1
@@ -1140,15 +1026,10 @@ class ShardRouter(JsonHttpServer):
         """Single-bucketization endpoints (``/disclosure``, ``/safety``):
         derive the plane key with one pass over the raw lists, memoize
         the decision against the request bytes, dispatch."""
-        tenant = self._tenant(payload)
-        mode = self._mode(payload)
-        model, params, cparams, params_wire = self._effective_threat(
-            payload, tenant
-        )
+        threat = resolve_threat(payload, self.tenants)
         k = require(payload, "k", int)
         buckets = require(payload, "buckets", list)
         items = signature_items_from_lists(buckets)
-        key = shard_key(mode, model, (k,), items, cparams, tenant)
         # Only plain /disclosure singles may be answered from a peek or
         # folded into an upstream batch: /safety has a different response
         # shape, witnesses need the real endpoint, and a negative k must
@@ -1161,41 +1042,25 @@ class ShardRouter(JsonHttpServer):
             )
         )
         entry = _RouteEntry(
-            key % len(self.shards),
-            mode,
-            model,
+            self._shard_for(threat, threat.model, (k,), items),
+            threat,
             k,
             items,
             buckets if coalescible else None,
             coalescible,
-            tenant,
-            params,
-            cparams,
-            params_wire,
         )
         self._memoize(path, body, entry)
         return await self._dispatch_single(path, body, entry)
 
+    #: ``/safety`` routes like a single ``/disclosure``, by plane key.
+    _ep_safety = _ep_single_key
+
     async def _ep_compare(self, path: str, payload: dict, body: bytes):
         """``/compare`` spans models; its plane key uses the model tuple."""
-        tenant = self._tenant(payload)
-        mode = self._mode(payload)
-        models = payload.get("models", ["implication", "negation"])
-        if not isinstance(models, list) or not all(
-            isinstance(name, str) for name in models
-        ):
-            raise BadRequest("'models' must be a list of model names")
-        if "params" in payload:
-            cparams = canonical_params(decode_params(payload["params"]))
-        elif tenant is not None and "models" not in payload:
-            cparams = canonical_params(self.tenants[tenant]["params"])
-        else:
-            cparams = ()
+        threat = resolve_threat(payload, self.tenants, compare=True)
         ks = tuple(require_ks(payload))
-        shard = self._shard_for(
-            mode, tuple(models), ks, require(payload, "buckets", list),
-            cparams, tenant,
-        )
+        items = signature_items_from_lists(require(payload, "buckets", list))
+        shard = self.shards[self._shard_for(threat, threat.models, ks, items)]
         return await self._forward(shard, "POST", path, body)
 
     async def _ep_batch(self, path: str, payload: dict, body: bytes):
@@ -1206,47 +1071,33 @@ class ShardRouter(JsonHttpServer):
         re-encoding, no merge pass) and the skip is counted in
         ``whole_batches``.
         """
-        tenant = self._tenant(payload)
-        mode = self._mode(payload)
-        model, _params, cparams, params_wire = self._effective_threat(
-            payload, tenant
-        )
+        threat = resolve_threat(payload, self.tenants)
         ks = require_ks(payload)
         raw = require(payload, "bucketizations", list)
         if not raw:
             raise BadRequest("'bucketizations' must be a non-empty list")
         groups: dict[int, list[int]] = {}
         for position, buckets in enumerate(raw):
-            shard = self._shard_for(
-                mode, model, tuple(ks), buckets, cparams, tenant
+            index = self._shard_for(
+                threat, threat.model, tuple(ks),
+                signature_items_from_lists(buckets),
             )
-            groups.setdefault(shard.index, []).append(position)
+            groups.setdefault(index, []).append(position)
         if len(groups) == 1:
             self.stats.whole_batches += 1
             shard = self.shards[next(iter(groups))]
             return await self._forward(shard, "POST", path, body)
         self.stats.split_batches += 1
-
-        async def _sub(shard_index: int, positions: list[int]):
-            sub_payload = {
-                "bucketizations": [raw[p] for p in positions],
-                "ks": ks,
-                "model": model,
-                "exact": mode == "exact",
-            }
-            if params_wire is not None:
-                sub_payload["params"] = params_wire
-            if tenant is not None:
-                sub_payload["tenant"] = tenant
-            return await self._forward(
-                self.shards[shard_index],
-                "POST",
-                path,
-                json.dumps(sub_payload).encode(),
-            )
-
         answers = await asyncio.gather(
-            *(_sub(index, positions) for index, positions in groups.items())
+            *(
+                self._forward(
+                    self.shards[index],
+                    "POST",
+                    path,
+                    _batch_body(threat, [raw[p] for p in positions], ks),
+                )
+                for index, positions in groups.items()
+            )
         )
         merged: list[Any] = [None] * len(raw)
         for (status, answer), positions in zip(answers, groups.values()):
@@ -1255,9 +1106,9 @@ class ShardRouter(JsonHttpServer):
             for position, series in zip(positions, answer["series"]):
                 merged[position] = series
         return 200, {
-            "model": model,
+            "model": threat.model,
             "ks": sorted(set(ks)),
-            "exact": mode == "exact",
+            "exact": threat.mode == "exact",
             "series": merged,
         }
 
@@ -1266,10 +1117,10 @@ class ShardRouter(JsonHttpServer):
         :func:`table_shard_key`): every version of one table reaches the
         shard owning that table's ledger slice, whatever its buckets hash
         to. The original bytes are forwarded untouched."""
-        tenant = self._tenant(payload)
+        threat = resolve_threat(payload, self.tenants)
         table = require(payload, "table", str)
         shard = self.shards[
-            table_shard_key(table, tenant) % len(self.shards)
+            table_shard_key(table, threat.tenant) % len(self.shards)
         ]
         return await self._forward(shard, "POST", path, body)
 

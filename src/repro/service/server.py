@@ -63,7 +63,7 @@ from collections import Counter
 from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.bucketization.bucketization import Bucketization
 from repro.engine.backend import PersistentBackend
@@ -101,6 +101,8 @@ __all__ = [
     "MAX_BODY_BYTES",
     "ROUTES",
     "PREFIX_ROUTES",
+    "Threat",
+    "resolve_threat",
     "ServiceStats",
     "DisclosureService",
     "BackgroundService",
@@ -180,11 +182,119 @@ def load_tenants(source: str | Path | Mapping[str, Any]) -> dict[str, dict]:
 
 #: The two engine modes a service always carries.
 _MODES = ("float", "exact")
+#: The models ``/compare`` evaluates when the request names none.
+_COMPARE_MODELS = ["implication", "negation"]
+
+
+class Threat(NamedTuple):
+    """One request's resolved threat: what :func:`resolve_threat` returns.
+
+    ``(tenant, mode, models, cparams)`` is the request's identity (see
+    :attr:`key`); ``params`` are the decoded constructor kwargs and
+    ``params_wire`` their original JSON shape (``None`` when no params
+    apply), for re-encoding into an upstream request.
+    """
+
+    tenant: str | None
+    mode: str
+    models: tuple[str, ...]
+    params: dict[str, Any]
+    cparams: tuple
+    params_wire: Any
+
+    @property
+    def model(self) -> str:
+        """The model name of a single-model request."""
+        return self.models[0]
+
+    @property
+    def key(self) -> tuple:
+        """The hashable identity ``(tenant, mode, models, cparams)``."""
+        return (self.tenant, self.mode, self.models, self.cparams)
+
+    def answer(self, k: int, value: Any) -> dict[str, Any]:
+        """The single ``/disclosure`` answer for an already-encoded value."""
+        return {
+            "model": self.model,
+            "k": k,
+            "exact": self.mode == "exact",
+            "value": value,
+        }
+
+
+def resolve_threat(
+    payload: Mapping[str, Any],
+    tenants: Mapping[str, Mapping[str, Any]],
+    *,
+    compare: bool = False,
+) -> Threat:
+    """Validate a request body's threat fields into a :class:`Threat`.
+
+    The one place the params-precedence rule lives, called by the service
+    endpoints and by the shard router alike, so a request has one identity
+    on every layer that keys on it. The rule: explicit ``model``/``params``
+    fields win, and a ``tenant`` (validated against ``tenants``, as built
+    by :func:`load_tenants`) supplies its defaults for whichever is absent.
+    With ``compare`` the body names a ``models`` list instead (default
+    implication and negation; a tenant never changes it), and one params
+    object applies to every listed model.
+
+    Raises :class:`~repro.service.httpbase.BadRequest` (or
+    :class:`ValueError` from the params codec), both 400s. Whether the
+    params suit the model is left to the model constructor.
+    """
+    tenant = require(payload, "tenant", str, optional=True, default=None)
+    config = tenants.get(tenant) if tenant is not None else None
+    if tenant is not None and config is None:
+        raise BadRequest(
+            f"unknown tenant {tenant!r}"
+            + (
+                f"; configured: {', '.join(sorted(tenants))}"
+                if tenants
+                else " (no tenants configured)"
+            )
+        )
+    exact = require(payload, "exact", bool, optional=True, default=False)
+    if compare:
+        field = "models"
+        names = payload.get(field, _COMPARE_MODELS)
+        if not isinstance(names, list) or not names:
+            raise BadRequest("'models' must be a non-empty list of names")
+        if not all(isinstance(name, str) for name in names):
+            raise BadRequest("'models' must be a list of model names")
+    else:
+        field = "model"
+        default = config["model"] if config is not None else "implication"
+        names = [require(payload, field, str, optional=True, default=default)]
+    registered = available_adversaries()
+    for name in names:
+        if name not in registered:
+            raise BadRequest(
+                f"unknown adversary model {name!r}; registered: "
+                f"{', '.join(registered)}"
+            )
+    if "params" in payload:
+        params_wire = payload["params"]
+        params = decode_params(params_wire)  # ValueError -> 400
+    elif config is not None and field not in payload:
+        params_wire = config["params_wire"]
+        params = config["params"]
+    else:
+        params_wire, params = None, {}
+    return Threat(
+        tenant,
+        "exact" if exact else "float",
+        tuple(names),
+        params,
+        canonical_params(params),
+        params_wire,
+    )
 
 
 #: The exact-match endpoint table: ``path -> (verb, handler attribute)``.
-#: This is the single source of truth for what the service serves —
-#: :meth:`DisclosureService._route` dispatches from it and
+#: This is the single source of truth for what the tier serves — both
+#: :class:`DisclosureService` and the shard router dispatch from it
+#: (:meth:`~repro.service.httpbase.JsonHttpServer._route`), and
 #: ``scripts/check_docs.py`` asserts ``docs/wire-protocol.md`` matches it.
 ROUTES: dict[str, tuple[str, str]] = {
     "/disclosure": ("POST", "_ep_disclosure"),
@@ -337,6 +447,9 @@ class DisclosureService(JsonHttpServer):
     pass a pre-built backend with a ``spawn`` multiprocessing context.
     """
 
+    routes = ROUTES
+    prefix_routes = PREFIX_ROUTES
+
     def __init__(
         self,
         *,
@@ -414,10 +527,9 @@ class DisclosureService(JsonHttpServer):
             max_workers=1, thread_name_prefix="repro-engine"
         )
         #: Pending singles, grouped by everything that selects an engine
-        #: call: ``(tenant, mode, model name, canonical params, k)``.
-        self._pending: dict[
-            tuple[str | None, str, str, tuple, int], list[_Pending]
-        ] = {}
+        #: call: the threat's ``(tenant, mode, models, canonical params)``
+        #: identity plus ``k``.
+        self._pending: dict[tuple, list[_Pending]] = {}
         self._kick: asyncio.Event | None = None
         self._dispatcher: asyncio.Task | None = None
 
@@ -513,10 +625,7 @@ class DisclosureService(JsonHttpServer):
     # ------------------------------------------------------------------
     async def _enqueue_single(
         self,
-        tenant: str | None,
-        mode: str,
-        model: str,
-        cparams: tuple,
+        threat: Threat,
         instance: AdversaryModel,
         k: int,
         bucketization: Bucketization,
@@ -524,7 +633,7 @@ class DisclosureService(JsonHttpServer):
         """Queue one single evaluation and await its coalesced result."""
         loop = asyncio.get_running_loop()
         future = loop.create_future()
-        key = (tenant, mode, model, cparams, k)
+        key = (*threat.key, k)
         self._pending.setdefault(key, []).append(
             _Pending(bucketization, instance, future)
         )
@@ -550,7 +659,7 @@ class DisclosureService(JsonHttpServer):
             while self._pending:
                 groups, self._pending = self._pending, {}
                 try:
-                    for (tenant, mode, _model, _cp, k), items in groups.items():
+                    for (tenant, mode, _models, _cp, k), items in groups.items():
                         engine = self._engines_for(tenant)[mode]
                         instance = items[0].instance
                         bs = [p.bucketization for p in items]
@@ -605,115 +714,37 @@ class DisclosureService(JsonHttpServer):
             self.stats.by_endpoint[endpoint] += 1
         self.stats.by_status[status] += 1
 
-    async def _route(self, method: str, path: str, body: bytes):
-        """Dispatch from :data:`ROUTES` / :data:`PREFIX_ROUTES` (404
-        unknown path, 405 wrong verb, 503 while stopping)."""
-        route = ROUTES.get(path)
-        prefixed = False
-        if route is None:
-            for prefix, entry in PREFIX_ROUTES.items():
-                if path.startswith(prefix):
-                    route, prefixed = entry, True
-                    break
-        if route is None:
-            return 404, {"error": f"unknown path {path!r}"}
-        verb, attr = route
-        handler = getattr(self, attr)
-        if method != verb:
-            return 405, {"error": f"{path} only accepts {verb}"}
-        if self._stopping:
-            return 503, {"error": "service is shutting down"}
-        if prefixed:
-            return await handler(path)
-        if verb == "POST":
-            payload = parse_json_body(body)
-            return await handler(payload)
-        return await handler()
-
     def _engines_for(self, tenant: str | None) -> dict[str, DisclosureEngine]:
         return self.engines if tenant is None else self.tenant_engines[tenant]
 
-    def _tenant(self, payload: dict) -> str | None:
-        tenant = require(payload, "tenant", str, optional=True, default=None)
-        if tenant is None:
-            return None
-        if tenant not in self.tenants:
-            raise BadRequest(
-                f"unknown tenant {tenant!r}"
-                + (
-                    f"; configured: {', '.join(sorted(self.tenants))}"
-                    if self.tenants
-                    else " (no tenants configured)"
-                )
-            )
-        self.stats.by_tenant[tenant] += 1
-        return tenant
+    def _bind_threat(
+        self, payload: dict, *, compare: bool = False
+    ) -> tuple[Threat, DisclosureEngine, list[AdversaryModel]]:
+        """:func:`resolve_threat`, bound to this service: the threat, the
+        engine it selects and one model instance per named model.
 
-    def _mode_and_engine(
-        self, payload: dict, tenant: str | None = None
-    ) -> tuple[str, DisclosureEngine]:
-        exact = require(payload, "exact", bool, optional=True, default=False)
-        mode = "exact" if exact else "float"
-        return mode, self._engines_for(tenant)[mode]
-
-    def _model_name(
-        self,
-        payload: dict,
-        field: str = "model",
-        default: str = "implication",
-    ) -> str:
-        name = require(payload, field, str, optional=True, default=default)
-        if name not in available_adversaries():
-            raise BadRequest(
-                f"unknown adversary model {name!r}; registered: "
-                f"{', '.join(available_adversaries())}"
-            )
-        return name
-
-    def _resolve_threat(
-        self, payload: dict, engine: DisclosureEngine, tenant: str | None
-    ) -> tuple[str, dict[str, Any], tuple, AdversaryModel]:
-        """The request's effective threat model:
-        ``(name, decoded params, canonical params, resolved instance)``.
-
-        Explicit ``model``/``params`` fields win; a tenant supplies the
-        defaults for whichever is absent. Constructor failures — unknown
-        param name (:class:`TypeError`), out-of-range value
-        (:class:`ValueError`) — surface as a 400 with the message, never
-        a 500.
+        Constructor failures — unknown param name (:class:`TypeError`),
+        out-of-range value (:class:`ValueError`) — surface as a 400 with
+        the message, never a 500.
         """
-        config = self.tenants.get(tenant) if tenant is not None else None
-        name = self._model_name(
-            payload,
-            default=config["model"] if config else "implication",
-        )
-        if "params" in payload:
-            params = decode_params(payload["params"])  # ValueError -> 400
-        elif config is not None and "model" not in payload:
-            params = config["params"]
-        else:
-            params = {}
-        try:
-            instance = engine.model(name, params)
-        except (TypeError, ValueError) as exc:
-            raise BadRequest(f"invalid params for model {name!r}: {exc}") from None
-        return name, params, canonical_params(params), instance
-
-    def _resolve_model(
-        self, payload: dict, engine: DisclosureEngine, tenant: str | None
-    ) -> tuple[str, tuple, AdversaryModel]:
-        """:meth:`_resolve_threat` without the decoded params dict."""
-        name, _params, cparams, instance = self._resolve_threat(
-            payload, engine, tenant
-        )
-        return name, cparams, instance
+        threat = resolve_threat(payload, self.tenants, compare=compare)
+        if threat.tenant is not None:
+            self.stats.by_tenant[threat.tenant] += 1
+        engine = self._engines_for(threat.tenant)[threat.mode]
+        instances = []
+        for name in threat.models:
+            try:
+                instances.append(engine.model(name, threat.params))
+            except (TypeError, ValueError) as exc:
+                raise BadRequest(
+                    f"invalid params for model {name!r}: {exc}"
+                ) from None
+        return threat, engine, instances
 
     async def _ep_disclosure(self, payload: dict):
         if "bucketizations" in payload:
             return await self._ep_disclosure_batch(payload)
-        tenant = self._tenant(payload)
-        mode, engine = self._mode_and_engine(payload, tenant)
-        model, cparams, instance = self._resolve_model(payload, engine, tenant)
+        threat, engine, (instance,) = self._bind_threat(payload)
         k = require(payload, "k", int)
         if k < 0:
             raise BadRequest(f"k must be non-negative, got {k}")
@@ -731,23 +762,11 @@ class DisclosureService(JsonHttpServer):
             if cached is not None:
                 self.stats.single_requests += 1
                 self.stats.cache_fast_hits += 1
-                return 200, {
-                    "model": model,
-                    "k": k,
-                    "exact": mode == "exact",
-                    "value": encode_value(cached),
-                }
+                return 200, threat.answer(k, encode_value(cached))
         bucketization = bucketization_from_payload(raw_buckets)
         self.stats.single_requests += 1
-        value = await self._enqueue_single(
-            tenant, mode, model, cparams, instance, k, bucketization
-        )
-        answer: dict[str, Any] = {
-            "model": model,
-            "k": k,
-            "exact": mode == "exact",
-            "value": encode_value(value),
-        }
+        value = await self._enqueue_single(threat, instance, k, bucketization)
+        answer = threat.answer(k, encode_value(value))
         if want_witness:
             loop = asyncio.get_running_loop()
             try:
@@ -761,11 +780,7 @@ class DisclosureService(JsonHttpServer):
         return 200, answer
 
     async def _ep_disclosure_batch(self, payload: dict):
-        tenant = self._tenant(payload)
-        mode, engine = self._mode_and_engine(payload, tenant)
-        model, _cparams, instance = self._resolve_model(
-            payload, engine, tenant
-        )
+        threat, engine, (instance,) = self._bind_threat(payload)
         ks = require_ks(payload)
         raw = require(payload, "bucketizations", list)
         if not raw:
@@ -778,20 +793,16 @@ class DisclosureService(JsonHttpServer):
             lambda: engine.evaluate_many(bs, ks, model=instance),
         )
         return 200, {
-            "model": model,
+            "model": threat.model,
             "ks": sorted(set(ks)),
-            "exact": mode == "exact",
+            "exact": threat.mode == "exact",
             "series": [encode_series(s) for s in series],
         }
 
     async def _ep_safety(self, payload: dict):
-        tenant = self._tenant(payload)
-        mode, engine = self._mode_and_engine(payload, tenant)
-        model, cparams, instance = self._resolve_model(payload, engine, tenant)
+        threat, engine, (instance,) = self._bind_threat(payload)
         k = require(payload, "k", int)
         c = require(payload, "c", (int, float))
-        if isinstance(c, bool):
-            raise BadRequest("field 'c' must be a number")
         raw_buckets = require(payload, "buckets", list)
         # threshold() validates c against the model's scale before any
         # engine work (bad thresholds are a 400, not a computation).
@@ -804,44 +815,20 @@ class DisclosureService(JsonHttpServer):
         else:
             bucketization = bucketization_from_payload(raw_buckets)
             value = await self._enqueue_single(
-                tenant, mode, model, cparams, instance, k, bucketization
+                threat, instance, k, bucketization
             )
         return 200, {
-            "model": model,
+            "model": threat.model,
             "k": k,
             "c": c,
-            "exact": mode == "exact",
+            "exact": threat.mode == "exact",
             "safe": bool(value < threshold),
             "value": encode_value(value),
         }
 
     async def _ep_compare(self, payload: dict):
-        tenant = self._tenant(payload)
-        mode, engine = self._mode_and_engine(payload, tenant)
+        threat, engine, instances = self._bind_threat(payload, compare=True)
         ks = require_ks(payload)
-        models = payload.get("models", ["implication", "negation"])
-        if not isinstance(models, list) or not models:
-            raise BadRequest("'models' must be a non-empty list of names")
-        for name in models:
-            if not isinstance(name, str):
-                raise BadRequest("'models' must be a list of model names")
-        names = [self._model_name({"model": name}) for name in models]
-        if "params" in payload:
-            # One params object, applied to every listed model (the
-            # /compare use case is one parametric family across k).
-            params = decode_params(payload["params"])
-        elif tenant is not None and "models" not in payload:
-            params = self.tenants[tenant]["params"]
-        else:
-            params = {}
-        instances = []
-        for name in names:
-            try:
-                instances.append(engine.model(name, params))
-            except (TypeError, ValueError) as exc:
-                raise BadRequest(
-                    f"invalid params for model {name!r}: {exc}"
-                ) from None
         bucketization = bucketization_from_payload(
             require(payload, "buckets", list)
         )
@@ -852,7 +839,7 @@ class DisclosureService(JsonHttpServer):
         )
         return 200, {
             "ks": sorted(set(ks)),
-            "exact": mode == "exact",
+            "exact": threat.mode == "exact",
             "kernel": engine.kernel,
             "series": {
                 name: encode_series(series)
@@ -887,11 +874,7 @@ class DisclosureService(JsonHttpServer):
         engine call, so a publish serializes cleanly with coalesced
         batches and shares the engine cache with them.
         """
-        tenant = self._tenant(payload)
-        mode, engine = self._mode_and_engine(payload, tenant)
-        model, params, _cparams, _instance = self._resolve_threat(
-            payload, engine, tenant
-        )
+        threat, _engine, _instances = self._bind_threat(payload)
         table = require(payload, "table", str)
         if not TABLE_NAME.match(table):
             raise BadRequest(
@@ -910,7 +893,7 @@ class DisclosureService(JsonHttpServer):
         bucketization = bucketization_from_payload(
             require(payload, "buckets", list)
         )
-        republisher = self._republisher(tenant, mode)
+        republisher = self._republisher(threat.tenant, threat.mode)
         loop = asyncio.get_running_loop()
         verdict = await loop.run_in_executor(
             self._executor,
@@ -919,8 +902,8 @@ class DisclosureService(JsonHttpServer):
                 bucketization,
                 c=c,
                 k=k,
-                model=model,
-                params=params,
+                model=threat.model,
+                params=threat.params,
                 full=full,
                 with_witness=want_witness,
             ),
@@ -1065,35 +1048,25 @@ class DisclosureService(JsonHttpServer):
     # In-process peek (the router's inproc fast path)
     # ------------------------------------------------------------------
     def peek_single(
-        self,
-        mode: str,
-        model: str,
-        k: Any,
-        signature_items,
-        params: Mapping[str, Any] | None = None,
-        tenant: str | None = None,
+        self, threat: Threat, k: int, signature_items
     ) -> dict[str, Any] | None:
         """A fully-encoded single ``/disclosure`` answer straight from the
         cache, or ``None`` when anything short of a clean cached hit —
-        unknown mode/model/tenant, malformed ``k``, bad params, unseen
-        signature, cache miss — in which case the caller falls back to the
-        full dispatch path, which validates properly and computes (and
-        turns the validation failures into real 400s).
+        params the model rejects, unseen signature, cache miss — in which
+        case the caller falls back to the full dispatch path, which
+        computes (and turns a params failure into the real 400).
+
+        ``threat`` comes from :func:`resolve_threat` against this service's
+        tenant topology and ``k`` is a validated non-negative int.
 
         Bumps the same counters the endpoint's own fast path does
         (``single_requests``, ``cache_fast_hits``, plus
         :meth:`note_request`), so a shard's stats are indistinguishable
         whether its router answered from the peek or dispatched.
         """
-        if tenant is not None and tenant not in self.tenants:
-            return None
-        engine = self._engines_for(tenant).get(mode)
-        if engine is None or model not in available_adversaries():
-            return None
-        if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-            return None
+        engine = self._engines_for(threat.tenant)[threat.mode]
         try:
-            instance = engine.model(model, params)
+            instance = engine.model(threat.model, threat.params)
         except (TypeError, ValueError):
             return None
         cached = engine.peek_cached(instance, k, signature_items)
@@ -1105,26 +1078,10 @@ class DisclosureService(JsonHttpServer):
             return None
         self.stats.single_requests += 1
         self.stats.cache_fast_hits += 1
-        if tenant is not None:
-            self.stats.by_tenant[tenant] += 1
+        if threat.tenant is not None:
+            self.stats.by_tenant[threat.tenant] += 1
         self.note_request("/disclosure", 200)
-        return {
-            "model": model,
-            "k": k,
-            "exact": mode == "exact",
-            "value": encoded,
-        }
-
-
-def parse_json_body(body: bytes) -> dict:
-    """Decode a POST body into a JSON object (400 on anything else)."""
-    try:
-        payload = json.loads(body.decode("utf-8")) if body else None
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise BadRequest(f"invalid JSON body: {exc}") from None
-    if not isinstance(payload, dict):
-        raise BadRequest("request body must be a JSON object")
-    return payload
+        return threat.answer(k, encoded)
 
 
 class BackgroundService(BackgroundHost):

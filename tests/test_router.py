@@ -17,6 +17,7 @@ The router's contract (ISSUE 5 acceptance criteria):
 
 from __future__ import annotations
 
+import json
 import os
 import random
 import re
@@ -25,18 +26,25 @@ import subprocess
 import sys
 import threading
 from fractions import Fraction
+from http.client import HTTPConnection
 from pathlib import Path
 
 import pytest
 
 from repro.bucketization import Bucketization
 from repro.engine import DisclosureEngine, canonical_params, get_adversary
-from repro.service import ServiceClient, ServiceError, ShardRouter
+from repro.service import (
+    BackgroundService,
+    ServiceClient,
+    ServiceError,
+    ShardRouter,
+)
 from repro.service.router import (
     BackgroundRouter,
     resolve_shard_mode,
     shard_key,
 )
+from repro.service.server import PREFIX_ROUTES, ROUTES
 
 SHARDS = 3
 CLIENTS = 8
@@ -70,6 +78,17 @@ def router(request):
 @pytest.fixture(scope="module")
 def client(router) -> ServiceClient:
     return router.client()
+
+
+def _raw_request(host, port, method: str, path: str, body=None):
+    """One request with no client-side validation: ``(status, payload)``."""
+    connection = HTTPConnection(host, port, timeout=60)
+    try:
+        connection.request(method, path, body=body)
+        response = connection.getresponse()
+        return response.status, json.loads(response.read() or b"{}")
+    finally:
+        connection.close()
 
 
 # ---------------------------------------------------------------------------
@@ -645,6 +664,19 @@ class TestRouterEndpoints:
         for entry in stats["shards"]:
             assert {"service", "engines", "shard"} <= set(entry)
 
+    def test_router_serves_the_service_route_table(self, router):
+        """Every route the docs gate checks is served by the router too: a
+        wrong verb is a 405 on each one, never a 404 or a 500."""
+        paths = list(ROUTES.items()) + [
+            (prefix + "t/1", entry) for prefix, entry in PREFIX_ROUTES.items()
+        ]
+        for path, (verb, _handler) in paths:
+            wrong = "GET" if verb == "POST" else "POST"
+            status, payload = _raw_request(
+                router.host, router.port, wrong, path, b"{}"
+            )
+            assert status == 405, (path, payload)
+
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
             ShardRouter(shards=0)
@@ -652,6 +684,85 @@ class TestRouterEndpoints:
             ShardRouter(shards=2, forward_timeout=0)
         with pytest.raises(ValueError):
             ShardRouter(shards=2, health_interval=-1)
+
+
+@pytest.fixture(scope="module")
+def service_and_router():
+    """A single service and an in-process router, for conformance checks."""
+    with BackgroundService(backend="serial", batch_window=0.0) as service:
+        with BackgroundRouter(
+            shards=2, shard_mode="inproc", backend="serial", batch_window=0.0
+        ) as router:
+            yield service, router
+
+
+_PAIR = [["a", "b"]]
+
+
+@pytest.mark.parametrize(
+    "path, body, message",
+    [
+        ("/compare", {"buckets": _PAIR, "ks": [1], "models": "implication"},
+         "'models' must be a non-empty list of names"),
+        ("/compare", {"buckets": _PAIR, "ks": [1], "models": []},
+         "'models' must be a non-empty list of names"),
+        ("/compare", {"buckets": _PAIR, "ks": [1], "models": ["negation", 3]},
+         "'models' must be a list of model names"),
+        ("/compare", {"buckets": _PAIR, "ks": [1], "models": ["martian"]},
+         "unknown adversary model 'martian'"),
+        ("/disclosure", {"buckets": _PAIR, "k": 1, "exact": "yes"},
+         "field 'exact' must be bool"),
+        ("/disclosure", {"buckets": _PAIR, "k": 1, "model": "martian"},
+         "unknown adversary model 'martian'"),
+        ("/disclosure", {"buckets": _PAIR, "k": 1, "params": {"x": True}},
+         "boolean"),
+        ("/disclosure",
+         {"buckets": _PAIR, "k": 1, "model": "probabilistic",
+          "params": {"bogus": 1}},
+         "invalid params for model 'probabilistic'"),
+        ("/compare", {"buckets": _PAIR, "ks": [1], "params": {"x": True}},
+         "boolean"),
+        ("/compare",
+         {"buckets": _PAIR, "ks": [1], "models": ["probabilistic"],
+          "params": {"bogus": 1}},
+         "invalid params for model 'probabilistic'"),
+        ("/disclosure", {"buckets": _PAIR, "k": -1},
+         "k must be non-negative"),
+        ("/disclosure", {"buckets": _PAIR, "k": True},
+         "field 'k' must be an integer"),
+        ("/disclosure", {"buckets": _PAIR, "k": 1, "tenant": "nope"},
+         "unknown tenant 'nope'"),
+        ("/publish",
+         {"table": "t", "buckets": _PAIR, "c": 0.9, "k": 1, "tenant": "nope"},
+         "unknown tenant 'nope'"),
+        ("/disclosure",
+         {"bucketizations": [_PAIR], "ks": [1], "model": "martian"},
+         "unknown adversary model 'martian'"),
+        ("/safety", {"buckets": _PAIR, "k": 1, "c": "x"},
+         "field 'c' must be a number"),
+    ],
+    ids=[
+        "models-string", "models-empty", "models-int", "models-unknown",
+        "exact-not-bool", "model-unknown", "params-bool", "params-unknown",
+        "compare-params-bool", "compare-params-unknown", "k-negative",
+        "k-bool", "tenant-unknown", "publish-tenant-unknown",
+        "batch-model-unknown", "c-not-number",
+    ],
+)
+def test_router_and_service_answer_identical_400s(
+    service_and_router, path, body, message
+):
+    """A malformed body gets the same ``(status, body)`` from a single
+    service and from the router: one resolver validates both."""
+    raw = json.dumps(body).encode()
+    answers = [
+        _raw_request(server.host, server.port, "POST", path, raw)
+        for server in service_and_router
+    ]
+    assert answers[0] == answers[1]
+    status, payload = answers[0]
+    assert status == 400
+    assert message in payload["error"]
 
 
 # ---------------------------------------------------------------------------

@@ -343,10 +343,11 @@ class TestMalformedRequests:
             {"buckets": [["a", "b"]], "k": 1, "c": 0.0},  # c out of range
             {"buckets": [["a", "b"]], "k": 1, "c": 1.5},  # c above bound
             {"buckets": [["a", "b"]], "k": 1},  # missing c
+            {"buckets": [["a", "b"]], "k": 1, "c": "x"},  # c not a number
         ],
     )
     def test_bad_safety_bodies_are_400(self, service, body):
-        status, _ = _raw_request(
+        status, payload = _raw_request(
             service.host,
             service.port,
             "POST",
@@ -354,6 +355,8 @@ class TestMalformedRequests:
             json.dumps(body).encode(),
         )
         assert status == 400
+        # Messages name kinds in words, never as a Python class repr.
+        assert "<class" not in payload["error"]
 
     def test_bad_compare_models_is_400(self, service):
         status, _ = _raw_request(
