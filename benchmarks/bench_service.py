@@ -168,7 +168,6 @@ def _multi_tenant_bench(bs: list[Bucketization]) -> dict:
         prefix = Path(tmp) / "fleet"
         with BackgroundService(
             backend="serial",
-            batch_window=0.0,
             tenants=TENANTS,
             cache_path=prefix,
         ) as bg:
@@ -234,6 +233,16 @@ def _workload() -> list[Bucketization]:
     return out
 
 
+def _wait_for_singles(bg: BackgroundService, count: int) -> None:
+    """Block until the service's edge has counted ``count`` singles (each
+    is queued for the coalescer in the same event-loop step)."""
+    deadline = time.monotonic() + 60
+    while bg.service.stats.single_requests < count:
+        if time.monotonic() > deadline:
+            raise RuntimeError(f"{count} singles never reached the service")
+        time.sleep(0.002)
+
+
 def _sequential_singles(client: ServiceClient, bs, k: int) -> list:
     return [client.disclosure(b, k) for b in bs]
 
@@ -289,7 +298,7 @@ def test_service_latency_throughput_coalescing(benchmark):
     bs = _workload()
     repeats = 20 if tiny_mode() else 200
 
-    with BackgroundService(backend="serial", batch_window=0.0) as bg:
+    with BackgroundService(backend="serial") as bg:
         client = bg.client()
 
         # Cold: the very first question this service has ever seen.
@@ -356,16 +365,16 @@ def test_service_latency_throughput_coalescing(benchmark):
         batch_values = [series[K + 2] for series in batch_series]
         batch_speedup = sequential_s / batch_s if batch_s > 0 else float("inf")
 
-    # Concurrent identical singles against a coalescing window: the
-    # service must serve everyone from (at most a couple of) engine
+    # Concurrent identical singles while the engine thread is busy: a
+    # gated job parked on the service's single engine executor holds it
+    # until every single has arrived, so they queue in the coalescer and
+    # the service serves everyone from (at most a couple of) engine
     # batches, bit-identically.
-    with BackgroundService(backend="serial", batch_window=0.2) as bg:
+    with BackgroundService(backend="serial") as bg:
         host, port = bg.host, bg.port
-        barrier = threading.Barrier(CONCURRENT_CLIENTS)
         concurrent_values: list = [None] * CONCURRENT_CLIENTS
 
         def hit(index: int) -> None:
-            barrier.wait(timeout=60)
             concurrent_values[index] = ServiceClient(host, port).disclosure(
                 bs[0], K
             )
@@ -374,9 +383,16 @@ def test_service_latency_throughput_coalescing(benchmark):
             threading.Thread(target=hit, args=(i,))
             for i in range(CONCURRENT_CLIENTS)
         ]
+        gate = threading.Event()
+        parked = bg.service._executor.submit(gate.wait, 60)
         start = time.perf_counter()
-        for thread in threads:
-            thread.start()
+        try:
+            for thread in threads:
+                thread.start()
+            _wait_for_singles(bg, CONCURRENT_CLIENTS)
+        finally:
+            gate.set()
+            parked.result(timeout=60)
         for thread in threads:
             thread.join(timeout=120)
         concurrent_s = time.perf_counter() - start
@@ -386,12 +402,12 @@ def test_service_latency_throughput_coalescing(benchmark):
     # HAMMER_THREADS clients sweep the fresh question list (k = K+3).
     hammer_passes = 2 if tiny_mode() else 4
     hammer_requests = HAMMER_THREADS * hammer_passes * len(bs)
-    with BackgroundService(backend="serial", batch_window=0.0) as bg:
+    with BackgroundService(backend="serial") as bg:
         single_elapsed, single_answers, _ = _hammer(
             bg.host, bg.port, bs, K + 3, hammer_passes
         )
     with BackgroundRouter(
-        shards=SHARDS, shard_mode="auto", backend="serial", batch_window=0.0
+        shards=SHARDS, shard_mode="auto", backend="serial"
     ) as bg:
         sharded_elapsed, sharded_answers, sharded_latencies = _hammer(
             bg.host, bg.port, bs, K + 3, hammer_passes

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Doc-drift gate: the guides in docs/ must match the code they describe.
 
-Two cross-checks, both against the living registries rather than string
+Three cross-checks, all against the living registries rather than string
 expectations:
 
 1. **Endpoint table** — the table in ``docs/wire-protocol.md`` must list
@@ -13,6 +13,10 @@ expectations:
 2. **CLI subcommands** — every subcommand wired into ``repro.cli`` must
    be mentioned (backticked) somewhere in the docs tier, so ``repro
    --help`` never knows commands the documentation does not.
+
+3. **CLI flags** — every ``--flag`` inside an inline code span in the
+   docs tier must be an option of some ``repro`` subcommand's parser, so
+   a removed flag cannot linger in the guides.
 
 Run from anywhere: ``python scripts/check_docs.py`` (CI runs it in the
 ``lint-invariants`` job). ``--docs-dir`` points at an alternative docs
@@ -29,11 +33,17 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.cli import _COMMANDS  # noqa: E402
+from repro.cli import _COMMANDS, build_parser  # noqa: E402
 from repro.service.server import PREFIX_ROUTES, ROUTES  # noqa: E402
 
 #: A table row like ``| `/disclosure` | POST | ... |``.
 ENDPOINT_ROW = re.compile(r"^\|\s*`([^`]+)`\s*\|\s*([A-Z]+)\s*\|")
+#: A fenced code block, dropped before inline code spans are matched.
+FENCED_BLOCK = re.compile(r"^```.*?^```", re.MULTILINE | re.DOTALL)
+#: An inline code span on one line.
+INLINE_CODE = re.compile(r"`([^`\n]+)`")
+#: A long option such as ``--cache-file``.
+LONG_FLAG = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
 
 
 def documented_endpoints(wire_doc: str) -> list[tuple[str, str]]:
@@ -121,6 +131,33 @@ def check_cli_commands(docs_dir: Path) -> list[str]:
     return errors
 
 
+def parser_flags() -> set[str]:
+    """Every option string of the ``repro`` parser and its subcommands."""
+    parser = build_parser()
+    flags = set(parser._option_string_actions)
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for subparser in action.choices.values():
+                flags.update(subparser._option_string_actions)
+    return flags
+
+
+def check_cli_flags(docs_dir: Path) -> list[str]:
+    """Every backticked ``--flag`` in docs/ must exist on some parser."""
+    known = parser_flags()
+    errors = []
+    for path in sorted(docs_dir.glob("*.md")):
+        text = FENCED_BLOCK.sub("", path.read_text(encoding="utf-8"))
+        for span in INLINE_CODE.findall(text):
+            for flag in LONG_FLAG.findall(span):
+                if flag not in known:
+                    errors.append(
+                        f"{path}: `{span}` names {flag}, which no repro "
+                        "subcommand accepts"
+                    )
+    return errors
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -133,6 +170,7 @@ def main(argv: list[str] | None = None) -> int:
 
     errors = check_endpoints(args.docs_dir)
     errors.extend(check_cli_commands(args.docs_dir))
+    errors.extend(check_cli_flags(args.docs_dir))
     for error in errors:
         print(f"check_docs: {error}", file=sys.stderr)
     if not errors:

@@ -99,6 +99,10 @@ class EngineStats:
         Unique plane keys whose series were computed by worker processes
         (their per-``k`` results reach callers via ``parallel_hits``
         assembly and cache warm-back).
+    backend_fallbacks:
+        Parallel fan-outs the execution backend failed (unpicklable
+        plugin, fork restrictions, workers crashed twice), so the batch
+        was recomputed on the serial path instead.
     kernel:
         The concrete MINIMIZE1/MINIMIZE2 kernel the engine resolved to
         (``"numpy"`` or ``"scalar"``) — surfaced so benchmark artifacts and
@@ -111,6 +115,7 @@ class EngineStats:
     parallel_hits: int = 0
     evictions: int = 0
     parallel_tasks: int = 0
+    backend_fallbacks: int = 0
     kernel: str = "scalar"
 
     @property
@@ -133,6 +138,7 @@ class EngineStats:
             "hit_rate": round(self.hit_rate, 6),
             "evictions": self.evictions,
             "parallel_tasks": self.parallel_tasks,
+            "backend_fallbacks": self.backend_fallbacks,
             "kernel": self.kernel,
         }
 
@@ -598,7 +604,8 @@ class DisclosureEngine:
             )
         except Exception:
             # Backend unavailable (unpicklable plugin, fork restrictions,
-            # workers crashed twice) — degrade silently to the serial path.
+            # workers crashed twice): count it and take the serial path.
+            self.stats.backend_fallbacks += 1
             return {}
         warmed: dict[tuple, dict[int, object]] = {}
         for plane_key, series in zip(pending, all_series):

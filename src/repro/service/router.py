@@ -358,10 +358,8 @@ class ShardRouter(JsonHttpServer):
         ``"process"`` (subprocess shards), ``"inproc"`` (embedded shards)
         or ``"auto"`` (default; see :func:`resolve_shard_mode`). The
         resolved value is readable back from :attr:`shard_mode`.
-    backend, workers, kernel, cache_limit, batch_window:
-        Passed through to every shard as its engine/coalescer knobs.
-        ``batch_window`` also paces the router's own upstream coalescer
-        for process shards.
+    backend, workers, kernel, cache_limit:
+        Passed through to every shard as its engine knobs.
     cache_path:
         Shared persistence *prefix*: shard ``i`` persists to
         ``<prefix>.shard<i>.float.pkl`` / ``.exact.pkl`` (each shard owns
@@ -409,7 +407,6 @@ class ShardRouter(JsonHttpServer):
         kernel: str = "auto",
         cache_limit: int | None = None,
         cache_path: str | Path | None = None,
-        batch_window: float = 0.002,
         health_interval: float = 2.0,
         forward_timeout: float = 120.0,
         request_timeout: float | None = 30.0,
@@ -446,7 +443,6 @@ class ShardRouter(JsonHttpServer):
         self.ledger_path = (
             Path(ledger_file) if ledger_file is not None else None
         )
-        self.batch_window = batch_window
         self.health_interval = health_interval
         self.forward_timeout = forward_timeout
         #: The tenant topology: validated now (a bad file fails the boot,
@@ -527,8 +523,6 @@ class ShardRouter(JsonHttpServer):
             str(self.workers),
             "--kernel",
             self.kernel,
-            "--batch-window",
-            str(self.batch_window),
         ]
         if self.cache_limit is not None:
             argv += ["--cache-limit", str(self.cache_limit)]
@@ -565,7 +559,6 @@ class ShardRouter(JsonHttpServer):
                 cache_limit=self.cache_limit,
                 cache_path=self._shard_cache_prefix(shard),
                 ledger_file=self._shard_ledger_file(shard),
-                batch_window=self.batch_window,
                 tenants=(
                     self.tenants_path
                     if self.tenants_path is not None
@@ -887,18 +880,15 @@ class ShardRouter(JsonHttpServer):
         """Drain pending singles into one upstream request per
         ``(shard, threat identity, k)`` group.
 
-        Mirrors the shard-side coalescer: while upstream exchanges are in
-        flight, newly arriving singles keep queueing, so batches form
-        organically under concurrency even with ``batch_window = 0`` —
-        N waiting singles cost the socket one batch round trip instead
-        of N.
+        Mirrors the shard-side coalescer: a single reaching an idle
+        upstream is forwarded at once, while singles that arrive during an
+        exchange keep queueing — N waiting singles cost the socket one
+        batch round trip instead of N.
         """
         assert self._kick is not None
         while True:
             await self._kick.wait()
             self._kick.clear()
-            if self.batch_window > 0:
-                await asyncio.sleep(self.batch_window)
             while self._pending:
                 groups, self._pending = self._pending, {}
                 try:

@@ -416,11 +416,6 @@ class DisclosureService(JsonHttpServer):
         Optional path *prefix* for cache persistence. Boot loads
         ``<prefix>.float.pkl`` / ``<prefix>.exact.pkl`` when present
         (counts in :attr:`loaded_entries`); :meth:`stop` writes both back.
-    batch_window:
-        Seconds the coalescer waits after the first pending single request
-        before draining the queue — the knob trading a little latency for
-        batch size. 0 drains immediately (still coalescing whatever piled
-        up while the engine thread was busy).
     request_timeout:
         Seconds a keep-alive connection may sit idle, or take to deliver a
         complete request, before it is dropped (slow-loris guard; ``None``
@@ -460,7 +455,6 @@ class DisclosureService(JsonHttpServer):
         kernel: str = "auto",
         cache_limit: int | None = None,
         cache_path: str | Path | None = None,
-        batch_window: float = 0.002,
         request_timeout: float | None = 30.0,
         max_connections: int | None = None,
         tenants: str | Path | Mapping[str, Any] | None = None,
@@ -472,9 +466,6 @@ class DisclosureService(JsonHttpServer):
             request_timeout=request_timeout,
             max_connections=max_connections,
         )
-        if batch_window < 0:
-            raise ValueError(f"batch_window must be >= 0, got {batch_window}")
-        self.batch_window = batch_window
         self.cache_path = Path(cache_path) if cache_path is not None else None
 
         def _engine_pair() -> dict[str, DisclosureEngine]:
@@ -645,17 +636,16 @@ class DisclosureService(JsonHttpServer):
         """Drain pending singles into engine batches, one per
         ``(tenant, mode, model, canonical params, k)`` group.
 
-        While a batch runs on the engine thread, newly arriving singles keep
-        queueing; the loop re-drains until the queue is empty, so under load
-        batches form organically even with ``batch_window = 0``.
+        A single reaching an idle engine thread is dispatched at once.
+        Singles that arrive while a batch runs keep queueing, and the loop
+        re-drains until the queue is empty: batches form only while the
+        engine is busy, so an idle service adds no wait to a cache miss.
         """
         assert self._kick is not None
         loop = asyncio.get_running_loop()
         while True:
             await self._kick.wait()
             self._kick.clear()
-            if self.batch_window > 0:
-                await asyncio.sleep(self.batch_window)
             while self._pending:
                 groups, self._pending = self._pending, {}
                 try:

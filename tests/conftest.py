@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import asyncio
+import time
+
 import pytest
 
 from repro.bucketization import Bucket, Bucketization
@@ -78,3 +81,30 @@ def small_adult():
     from repro.data.adult import generate_adult
 
     return generate_adult(1500, seed=7)
+
+
+def _wait_on_loop(host, predicate, timeout: float = 60.0) -> None:
+    """Poll ``predicate(host.service)`` until it holds, evaluating it on the
+    event-loop thread of a ``BackgroundService``/``BackgroundRouter``.
+
+    Run between coroutine steps, the predicate sees queues and counters in
+    a consistent state (never half way through an enqueue).
+    """
+
+    async def probe() -> bool:
+        return bool(predicate(host.service))
+
+    deadline = time.monotonic() + timeout
+    while not asyncio.run_coroutine_threadsafe(probe(), host._loop).result(
+        timeout
+    ):
+        if time.monotonic() > deadline:
+            raise AssertionError(f"timed out after {timeout}s waiting")
+        time.sleep(0.002)
+
+
+@pytest.fixture
+def wait_on_loop():
+    """:func:`_wait_on_loop`, for tests that stage concurrency by holding
+    the resource a coalesced batch forms behind."""
+    return _wait_on_loop

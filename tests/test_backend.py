@@ -401,6 +401,26 @@ class TestStats:
         stats_keys = DisclosureEngine().stats.as_dict()
         assert "parallel_hits" in stats_keys
 
+    def test_backend_failure_is_counted_not_silent(self, monkeypatch):
+        """A backend whose ``run`` raises degrades to the serial path with
+        the same values, and each failed fan-out counts one fallback."""
+        bs = _random_bucketizations(5, seed=53)
+        expected = DisclosureEngine().evaluate_many(bs, [1, 2], workers=1)
+        with DisclosureEngine(workers=2, backend="persistent") as engine:
+
+            def broken_run(*args, **kwargs):
+                raise OSError("worker pool unavailable")
+
+            monkeypatch.setattr(engine.backend, "run", broken_run)
+            assert engine.evaluate_many(bs, [1, 2]) == expected
+            assert engine.stats.backend_fallbacks == 1
+            assert engine.stats.parallel_tasks == 0
+            assert engine.stats.as_dict()["backend_fallbacks"] == 1
+            # Cached now: nothing left to fan out, so no second fallback.
+            engine.evaluate_many(bs, [1, 2])
+            assert engine.stats.backend_fallbacks == 1
+        assert DisclosureEngine().stats.as_dict()["backend_fallbacks"] == 0
+
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_cold_vs_warm_stats_per_backend(self, backend):
         """Satellite acceptance: for every backend, a cold batch reports no

@@ -44,7 +44,8 @@ from repro.service.router import (
     resolve_shard_mode,
     shard_key,
 )
-from repro.service.server import PREFIX_ROUTES, ROUTES
+from repro.service.server import PREFIX_ROUTES, ROUTES, resolve_threat
+from repro.service.wire import signature_items_from_lists
 
 SHARDS = 3
 CLIENTS = 8
@@ -70,7 +71,6 @@ def router(request):
         shards=SHARDS,
         shard_mode=request.param,
         backend="serial",
-        batch_window=0.01,
     ) as bg:
         yield bg
 
@@ -365,7 +365,6 @@ class TestParametricRouting:
                 shards=SHARDS,
                 shard_mode="inproc",
                 backend="serial",
-                batch_window=0.0,
             ) as bg:
                 client = bg.client()
                 value = client.disclosure(
@@ -429,7 +428,6 @@ class TestRouterTenants:
             shards=2,
             shard_mode=shard_mode,
             backend="serial",
-            batch_window=0.0,
             cache_path=prefix,
             tenants=ROUTER_TENANTS,
         ) as bg:
@@ -564,7 +562,7 @@ class TestShardModes:
         )
         expect = DisclosureEngine().evaluate(b, 2)
         with BackgroundRouter(
-            shards=2, shard_mode="inproc", backend="serial", batch_window=0.0
+            shards=2, shard_mode="inproc", backend="serial"
         ) as bg:
             client = bg.client()
             repeats = 5
@@ -578,28 +576,34 @@ class TestShardModes:
             assert router["fast_hits"] >= repeats - 1
             assert stats["totals"]["cache_fast_hits"] >= repeats - 1
 
-    def test_router_coalesces_concurrent_singles_upstream(self):
+    def test_router_coalesces_concurrent_singles_upstream(self, wait_on_loop):
         """Concurrent identical singles bound for one process shard cost
         the socket one upstream batch, not N round trips."""
-        b = Bucketization.from_value_lists(
-            [["c", "o", "a", "l"], ["e", "s", "c", "e"]]
-        )
+        buckets = [["c", "o", "a", "l"], ["e", "s", "c", "e"]]
+        b = Bucketization.from_value_lists(buckets)
         expect = DisclosureEngine().evaluate(b, 3, model="negation")
         with BackgroundRouter(
             shards=2,
             shard_mode="process",
             backend="serial",
-            batch_window=0.02,
         ) as bg:
+            front = bg.service
+            threat = resolve_threat({"model": "negation"}, {})
+            target = front.shards[
+                front._shard_for(
+                    threat,
+                    threat.model,
+                    (3,),
+                    signature_items_from_lists(buckets),
+                )
+            ]
             workers = 6
             shared = ServiceClient(bg.host, bg.port, pool_size=workers)
-            barrier = threading.Barrier(workers)
             results: list = [None] * workers
             errors: list = []
 
             def hit(index: int) -> None:
                 try:
-                    barrier.wait(timeout=60)
                     results[index] = shared.disclosure(b, 3, model="negation")
                 except BaseException as exc:
                     errors.append(exc)
@@ -608,17 +612,38 @@ class TestShardModes:
                 threading.Thread(target=hit, args=(i,))
                 for i in range(workers)
             ]
-            for t in threads:
-                t.start()
+            # A stopped shard holds the first upstream exchange open, so
+            # every later single queues in the router's coalescer.
+            os.kill(target.process.pid, signal.SIGSTOP)
+            try:
+                threads[0].start()
+                wait_on_loop(
+                    bg, lambda r: r.stats.proxied == 1 and not r._pending
+                )
+                for t in threads[1:]:
+                    t.start()
+                wait_on_loop(
+                    bg,
+                    lambda r: sum(len(items) for items in r._pending.values())
+                    == workers - 1,
+                )
+            finally:
+                os.kill(target.process.pid, signal.SIGCONT)
             for t in threads:
                 t.join(timeout=120)
+                assert not t.is_alive()
             shared.close()
             assert not errors
             assert all(value == expect for value in results)
-            router = bg.client().stats()["router"]
+            with bg.client() as client:
+                router = client.stats()["router"]
             assert router["shard_mode"] == "process"
             assert router["coalesced_batches"] >= 1
             assert router["coalesced_singles"] >= 2
+            # The first single went upstream alone; the other N-1 queued
+            # behind it and went up as ONE batch.
+            assert router["coalesced_batches"] == 1
+            assert router["coalesced_singles"] == workers - 1
 
 
 # ---------------------------------------------------------------------------
@@ -689,9 +714,9 @@ class TestRouterEndpoints:
 @pytest.fixture(scope="module")
 def service_and_router():
     """A single service and an in-process router, for conformance checks."""
-    with BackgroundService(backend="serial", batch_window=0.0) as service:
+    with BackgroundService(backend="serial") as service:
         with BackgroundRouter(
-            shards=2, shard_mode="inproc", backend="serial", batch_window=0.0
+            shards=2, shard_mode="inproc", backend="serial"
         ) as router:
             yield service, router
 
@@ -776,7 +801,6 @@ class TestSupervision:
             shards=SHARDS,
             shard_mode="process",  # only subprocess shards can be killed
             backend="serial",
-            batch_window=0.0,
             health_interval=0.2,
         ) as bg:
             client = bg.client()
@@ -865,7 +889,6 @@ class TestSupervision:
             shards=SHARDS,
             shard_mode=shard_mode,
             backend="serial",
-            batch_window=0.0,
             cache_path=prefix,
         ) as bg:
             first = bg.client().disclosure(b, 3)
@@ -876,7 +899,6 @@ class TestSupervision:
             shards=SHARDS,
             shard_mode=shard_mode,
             backend="serial",
-            batch_window=0.0,
             cache_path=prefix,
         ) as bg:
             client = bg.client()

@@ -51,7 +51,7 @@ def figure3_like() -> Bucketization:
 @pytest.fixture(scope="module")
 def service():
     """One shared background service for the read-mostly endpoint tests."""
-    with BackgroundService(backend="serial", batch_window=0.0) as bg:
+    with BackgroundService(backend="serial") as bg:
         yield bg
 
 
@@ -166,11 +166,43 @@ def _random_bucketizations(count: int, seed: int) -> list[Bucketization]:
     return out
 
 
+def _burst_while_engine_held(bg, wait_on_loop, threads) -> None:
+    """Fire ``threads`` (one single request each) at a service whose engine
+    thread is held by a parked gated job, then release it and join them.
+
+    The first single finds the coalescer idle and is taken at once, so it
+    runs alone; every later one queues while the engine is busy. The hold
+    is released only once the edge has counted them all, so the batch
+    forms without relying on timing.
+    """
+    gate = threading.Event()
+    parked = bg.service._executor.submit(gate.wait, 60)
+    try:
+        threads[0].start()
+        wait_on_loop(
+            bg,
+            lambda svc: svc.stats.single_requests == 1 and not svc._pending,
+        )
+        for t in threads[1:]:
+            t.start()
+        wait_on_loop(
+            bg, lambda svc: svc.stats.single_requests == len(threads)
+        )
+    finally:
+        gate.set()
+        parked.result(timeout=60)
+    for t in threads:
+        t.join(timeout=120)
+        assert not t.is_alive(), "a client thread never got its answer"
+
+
 class TestConcurrency:
     CLIENTS = 8
 
     @pytest.mark.parametrize("exact", [False, True])
-    def test_concurrent_clients_bit_identical_to_engine(self, exact):
+    def test_concurrent_clients_bit_identical_to_engine(
+        self, exact, wait_on_loop
+    ):
         bs = _random_bucketizations(self.CLIENTS, seed=42 + exact)
         models = ["implication", "negation", "distribution", "weighted"]
         ks = [0, 1, 2, 3]
@@ -180,25 +212,26 @@ class TestConcurrency:
         ]
         results: list = [None] * len(jobs)
         errors: list = []
-        with BackgroundService(backend="serial", batch_window=0.01) as bg:
-            host, port = bg.host, bg.port
+        with BackgroundService(backend="serial") as bg:
 
             def hit(index: int) -> None:
                 try:
                     b, model, k = jobs[index]
-                    results[index] = ServiceClient(host, port).disclosure(
-                        b, k, model=model, exact=exact
-                    )
+                    with bg.client() as client:
+                        results[index] = client.disclosure(
+                            b, k, model=model, exact=exact
+                        )
                 except BaseException as exc:  # surfaces in the main thread
                     errors.append(exc)
 
-            threads = [
-                threading.Thread(target=hit, args=(i,)) for i in range(len(jobs))
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=120)
+            _burst_while_engine_held(
+                bg,
+                wait_on_loop,
+                [
+                    threading.Thread(target=hit, args=(i,))
+                    for i in range(len(jobs))
+                ],
+            )
         assert not errors
         engine = DisclosureEngine(exact=exact)
         for (b, model, k), served in zip(jobs, results):
@@ -206,64 +239,85 @@ class TestConcurrency:
                 f"served value diverged for {model} k={k}"
             )
 
-    def test_concurrent_singles_coalesce_into_one_batch(self):
+    def test_concurrent_singles_coalesce_into_one_batch(self, wait_on_loop):
         bs = _random_bucketizations(self.CLIENTS, seed=7)
-        with BackgroundService(backend="serial", batch_window=0.25) as bg:
-            host, port = bg.host, bg.port
-            barrier = threading.Barrier(self.CLIENTS)
+        with BackgroundService(backend="serial") as bg:
 
             def hit(index: int) -> None:
-                barrier.wait(timeout=60)
-                ServiceClient(host, port).disclosure(bs[index], 2)
+                with bg.client() as client:
+                    client.disclosure(bs[index], 2)
 
-            threads = [
-                threading.Thread(target=hit, args=(i,))
-                for i in range(self.CLIENTS)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=120)
-            stats = bg.client().stats()["service"]
+            _burst_while_engine_held(
+                bg,
+                wait_on_loop,
+                [
+                    threading.Thread(target=hit, args=(i,))
+                    for i in range(self.CLIENTS)
+                ],
+            )
+            with bg.client() as client:
+                stats = client.stats()["service"]
         assert stats["single_requests"] == self.CLIENTS
-        # All singles arrived within the batch window, so at least one real
-        # coalesced batch formed (and no request was dropped).
+        # Every single after the first queued while the engine was busy,
+        # so a real coalesced batch formed (and no request was dropped).
         assert stats["coalesced_batches"] >= 1
         assert stats["max_coalesced"] >= 2
         assert (
             stats["coalesced_singles"] + stats["single_requests"]
             >= self.CLIENTS
         )
+        # The first ran alone; the other N-1 drained as ONE group.
+        assert stats["coalesced_batches"] == 1
+        assert stats["coalesced_singles"] == self.CLIENTS - 1
+        assert stats["max_coalesced"] == self.CLIENTS - 1
 
-    def test_coalesced_identical_requests_compute_once(self, figure3_like):
+    def test_coalesced_identical_requests_compute_once(
+        self, figure3_like, wait_on_loop
+    ):
         """N concurrent identical singles: one unique plane key, so the
         engine evaluates once and everyone gets the same bits."""
         n = 6
-        with BackgroundService(backend="serial", batch_window=0.25) as bg:
-            host, port = bg.host, bg.port
-            barrier = threading.Barrier(n)
-            values: list = [None] * n
+        values: list = [None] * n
+        with BackgroundService(backend="serial") as bg:
 
             def hit(index: int) -> None:
-                barrier.wait(timeout=60)
-                values[index] = ServiceClient(host, port).disclosure(
-                    figure3_like, 3
-                )
+                with bg.client() as client:
+                    values[index] = client.disclosure(figure3_like, 3)
 
-            threads = [
-                threading.Thread(target=hit, args=(i,)) for i in range(n)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=120)
-            engine_stats = bg.client().stats()["engines"]["float"]["stats"]
+            _burst_while_engine_held(
+                bg,
+                wait_on_loop,
+                [threading.Thread(target=hit, args=(i,)) for i in range(n)],
+            )
+            with bg.client() as client:
+                stats = client.stats()
+        engine_stats = stats["engines"]["float"]["stats"]
         direct = DisclosureEngine().evaluate(figure3_like, 3)
         assert values == [direct] * n
-        # evaluate_many counts one evaluation per requested series entry,
-        # but the unique-key dedup means the model ran at most twice (once
-        # for any pre-window solo dispatch, once for the coalesced rest).
+        # The first single computed the key; the other n-1 drained as one
+        # group behind it and were answered from the cache it filled.
         assert engine_stats["misses"] <= 2
+        assert engine_stats["misses"] == 1
+        assert stats["service"]["coalesced_batches"] == 1
+        assert stats["service"]["max_coalesced"] == n - 1
+
+    def test_backend_fallback_reported_in_stats(self, monkeypatch):
+        """A failing execution backend degrades to serial, bit-identically,
+        and the fallback is counted under /stats."""
+        bs = _random_bucketizations(4, seed=19)
+        with BackgroundService(backend="persistent", workers=2) as bg:
+            engine = bg.service.engines["float"]
+
+            def broken_run(*args, **kwargs):
+                raise OSError("worker pool unavailable")
+
+            monkeypatch.setattr(engine.backend, "run", broken_run)
+            with bg.client() as client:
+                series = client.disclosure_batch(bs, [1, 2])
+                stats = client.stats()["engines"]["float"]["stats"]
+        assert series == DisclosureEngine().evaluate_many(bs, [1, 2])
+        assert stats["backend_fallbacks"] == 1
+        assert stats["parallel_tasks"] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +500,7 @@ class TestMalformedRequests:
 # ---------------------------------------------------------------------------
 class TestKeepAlive:
     def test_one_connection_serves_many_requests(self, figure3_like):
-        with BackgroundService(backend="serial", batch_window=0.0) as bg:
+        with BackgroundService(backend="serial") as bg:
             connection = HTTPConnection(bg.host, bg.port, timeout=30)
             try:
                 body = json.dumps(
@@ -473,7 +527,7 @@ class TestKeepAlive:
         assert connections["keepalive_requests"] == 3  # requests 2..4
 
     def test_connection_close_header_honored(self, figure3_like):
-        with BackgroundService(backend="serial", batch_window=0.0) as bg:
+        with BackgroundService(backend="serial") as bg:
             connection = HTTPConnection(bg.host, bg.port, timeout=30)
             try:
                 connection.request(
@@ -487,7 +541,7 @@ class TestKeepAlive:
                 connection.close()
 
     def test_pooled_client_reuses_one_connection(self, figure3_like):
-        with BackgroundService(backend="serial", batch_window=0.0) as bg:
+        with BackgroundService(backend="serial") as bg:
             client = ServiceClient(bg.host, bg.port, pool_size=2)
             for k in range(5):
                 client.disclosure(figure3_like, k)
@@ -497,7 +551,7 @@ class TestKeepAlive:
         assert connections["keepalive_requests"] >= 5
 
     def test_per_connection_client_opens_one_each(self, figure3_like):
-        with BackgroundService(backend="serial", batch_window=0.0) as bg:
+        with BackgroundService(backend="serial") as bg:
             client = ServiceClient(bg.host, bg.port, keep_alive=False)
             for k in range(3):
                 client.disclosure(figure3_like, k)
@@ -509,7 +563,7 @@ class TestKeepAlive:
         """An idle-timeout-closed server connection must not surface: the
         pooled client detects the stale socket and replays."""
         with BackgroundService(
-            backend="serial", batch_window=0.0, request_timeout=0.3
+            backend="serial", request_timeout=0.3
         ) as bg:
             client = ServiceClient(bg.host, bg.port, pool_size=2)
             first = client.disclosure(figure3_like, 2)
@@ -519,7 +573,7 @@ class TestKeepAlive:
 
     def test_max_connections_cap_is_503(self):
         with BackgroundService(
-            backend="serial", batch_window=0.0, max_connections=1
+            backend="serial", max_connections=1
         ) as bg:
             holder = HTTPConnection(bg.host, bg.port, timeout=30)
             try:
@@ -696,7 +750,7 @@ class TestParamsAndTenants:
         assert Fraction(float(q)) != q
 
     def test_distinct_params_never_share_a_cache_entry(self, small_pair):
-        with BackgroundService(backend="serial", batch_window=0.0) as bg:
+        with BackgroundService(backend="serial") as bg:
             client = bg.client()
             low = client.disclosure(
                 small_pair, 1, model="probabilistic",
@@ -769,7 +823,6 @@ class TestParamsAndTenants:
     ):
         with BackgroundService(
             backend="serial",
-            batch_window=0.0,
             tenants=TENANTS,
             cache_path=tmp_path / "fleet",
         ) as bg:
@@ -816,7 +869,6 @@ class TestParamsAndTenants:
         prefix = tmp_path / "iso"
         with BackgroundService(
             backend="serial",
-            batch_window=0.0,
             tenants=TENANTS,
             cache_path=prefix,
         ) as bg:
@@ -836,7 +888,6 @@ class TestParamsAndTenants:
         # engine only.
         with BackgroundService(
             backend="serial",
-            batch_window=0.0,
             tenants=TENANTS,
             cache_path=prefix,
         ) as bg:
@@ -887,12 +938,12 @@ def test_background_service_cache_roundtrip(tmp_path, figure3_like):
     """The in-process lifecycle: stop saves, a fresh service loads."""
     prefix = tmp_path / "bg-cache"
     with BackgroundService(
-        backend="serial", batch_window=0.0, cache_path=prefix
+        backend="serial", cache_path=prefix
     ) as bg:
         first = bg.client().disclosure(figure3_like, 3, model="negation")
     assert (tmp_path / "bg-cache.float.pkl").exists()
     with BackgroundService(
-        backend="serial", batch_window=0.0, cache_path=prefix
+        backend="serial", cache_path=prefix
     ) as bg:
         client = bg.client()
         stats = client.stats()
