@@ -18,14 +18,17 @@ three polynomial models and measure the cache two ways:
 Run with ``pytest benchmarks/bench_engine.py --benchmark-only`` for timings,
 or ``--benchmark-disable`` for the assertions alone (CI does the latter).
 Either way the shared-sweep benchmark writes ``BENCH_engine.json`` (wall
-time, hit rate, cache size, and a ``kernel`` section timing the scalar vs
-numpy float kernels over the sweep's real signature workload) so the
-numbers are tracked across PRs.
+time, hit rate, cache size, ``bucketize_ms_per_node`` for the lattice
+roll-up, ``minimize1_table_bytes`` for the solver's retained tables, and a
+``kernel`` section timing the scalar vs numpy float kernels over the
+sweep's real signature workload) so the numbers are tracked across PRs.
 """
 
 from __future__ import annotations
 
+import gc
 import time
+import tracemalloc
 from collections import Counter
 
 from reporting import tiny_mode, write_bench_json
@@ -34,6 +37,7 @@ from repro.core.kernel import numpy_available
 from repro.core.minimize1 import Minimize1Solver
 from repro.core.minimize2 import min_ratio_table
 from repro.engine import DisclosureEngine
+from repro.engine.plane import SignaturePlane
 from repro.generalization.apply import bucketize_at
 
 #: The polynomial / closed-form models (oracle models do not scale to Adult).
@@ -63,6 +67,49 @@ def _cold_sweep(bucketizations) -> tuple[int, int]:
         evaluations += engine.stats.evaluations
         hits += engine.stats.cache_hits
     return evaluations, hits
+
+
+def _bucketize_ms_per_node(table, lattice) -> float:
+    """Best of three passes of ``bucketize_at`` over every lattice node, in
+    milliseconds a node. The first pass also groups the table's ground QI
+    classes (once per table), so the best pass is the steady state a sweep
+    sees."""
+    nodes = list(lattice.nodes())
+    passes = []
+    for _ in range(3):
+        start = time.perf_counter()
+        for node in nodes:
+            bucketize_at(table, lattice, node)
+        passes.append(time.perf_counter() - start)
+    return round(min(passes) / len(nodes) * 1e3, 3)
+
+
+def _minimize1_table_bytes(bucketizations) -> int:
+    """Bytes a solver retains per distinct signature once it holds the
+    sweep's MINIMIZE1 tables (width ``max(KS) + 2``, what MINIMIZE2 asks
+    for), measured with :mod:`tracemalloc`.
+
+    The solver is keyed through a signature plane and fed node by node,
+    as inside the engine, so growth slack is counted too; the plane's own
+    signatures are interned before the measurement starts.
+    """
+    per_node = [[sig for sig, _ in b.signature_items()] for b in bucketizations]
+    plane = SignaturePlane()
+    for sigs in per_node:
+        for sig in sigs:
+            plane.intern(sig)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        solver = Minimize1Solver(intern=plane.intern)
+        for sigs in per_node:
+            solver.tables(sigs, max(KS) + 1)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return round(retained / solver.known_signatures())
 
 
 def _time_kernel(kern: str, distinct_sigs, per_node_sigs, max_m: int):
@@ -146,6 +193,7 @@ def _kernel_section(bucketizations) -> dict:
 
 
 def test_shared_engine_two_epoch_sweep(benchmark, adult_medium, lattice):
+    bucketize_ms = _bucketize_ms_per_node(adult_medium, lattice)
     bucketizations = _bucketizations(adult_medium, lattice)
     epochs = 2
     start = time.perf_counter()
@@ -193,6 +241,8 @@ def test_shared_engine_two_epoch_sweep(benchmark, adult_medium, lattice):
             "cache_entries": engine.cache_size(),
             "evictions": engine.stats.evictions,
             "stats": engine.stats.as_dict(),
+            "bucketize_ms_per_node": bucketize_ms,
+            "minimize1_table_bytes": _minimize1_table_bytes(bucketizations),
             "kernel": _kernel_section(bucketizations),
         },
     )

@@ -52,6 +52,8 @@ REQUIRED = {
         "cache_entries",
         "evictions",
         "stats",
+        "bucketize_ms_per_node",
+        "minimize1_table_bytes",
         "kernel",
     },
     "parallel": ENVELOPE
@@ -273,14 +275,26 @@ def _check_publish(path: str, record: dict) -> list[str]:
 
 
 def _check_engine(path: str, record: dict) -> list[str]:
-    """The engine record's ``kernel`` section invariants: all keys present,
-    and — whenever the numpy kernel actually ran — bit-identical results.
+    """The engine record's invariants: a positive ``bucketize_ms_per_node``
+    and ``minimize1_table_bytes``; in the ``kernel`` section all keys
+    present and — whenever the numpy kernel actually ran — bit-identical
+    results.
     The >= 5x MINIMIZE1 speedup floor is only meaningful at bench scale, so
     it is enforced for non-tiny records (the committed baseline)."""
     errors: list[str] = []
+    for key in ("bucketize_ms_per_node", "minimize1_table_bytes"):
+        value = record.get(key)
+        if (
+            isinstance(value, bool)
+            or not isinstance(value, (int, float))
+            or value <= 0
+        ):
+            errors.append(
+                f"{path}: {key} must be a positive number, got {value!r}"
+            )
     section = record.get("kernel")
     if not isinstance(section, dict):
-        return [f"{path}: 'kernel' must be an object"]
+        return errors + [f"{path}: 'kernel' must be an object"]
     missing = sorted(KERNEL_KEYS - set(section))
     if missing:
         errors.append(f"{path}: kernel missing keys {missing}")

@@ -18,9 +18,16 @@ expectations:
    docs tier must be an option of some ``repro`` subcommand's parser, so
    a removed flag cannot linger in the guides.
 
+4. **Markdown names in code** — every ``*.md`` file named in ``src/``,
+   ``scripts/``, ``examples/`` or ``tests/`` must exist: a name with a
+   directory (``docs/architecture.md``) relative to the repository root,
+   a bare name (``README.md``) anywhere in the tree. A comment pointing at
+   a guide that was never written (or was deleted) fails here.
+
 Run from anywhere: ``python scripts/check_docs.py`` (CI runs it in the
 ``lint-invariants`` job). ``--docs-dir`` points at an alternative docs
-tree, which is how ``tests/test_docs.py`` exercises the failure paths.
+tree, and check 4 then scans the tree around it (the docs directory's
+parent), which is how ``tests/test_docs.py`` exercises the failure paths.
 """
 
 from __future__ import annotations
@@ -44,6 +51,10 @@ FENCED_BLOCK = re.compile(r"^```.*?^```", re.MULTILINE | re.DOTALL)
 INLINE_CODE = re.compile(r"`([^`\n]+)`")
 #: A long option such as ``--cache-file``.
 LONG_FLAG = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
+#: A markdown file name such as ``docs/wire-protocol.md`` or ``README.md``.
+MD_NAME = re.compile(r"[\w./-]*\w\.md\b")
+#: The directories whose files may name markdown documents (check 4).
+CODE_DIRS = ("src", "scripts", "examples", "tests")
 
 
 def documented_endpoints(wire_doc: str) -> list[tuple[str, str]]:
@@ -158,6 +169,36 @@ def check_cli_flags(docs_dir: Path) -> list[str]:
     return errors
 
 
+def check_md_names(root: Path) -> list[str]:
+    """Every ``*.md`` name in the code directories under ``root`` must name
+    a file in ``root``'s tree."""
+    present = {
+        path.relative_to(root).as_posix()
+        for path in root.rglob("*.md")
+        if ".git" not in path.parts
+    }
+    basenames = {name.rsplit("/", 1)[-1] for name in present}
+    errors = []
+    for directory in CODE_DIRS:
+        for path in sorted((root / directory).rglob("*")):
+            if path.suffix not in (".py", ".md") or not path.is_file():
+                continue
+            text = path.read_text(encoding="utf-8")
+            for lineno, line in enumerate(text.splitlines(), 1):
+                for name in MD_NAME.findall(line):
+                    found = (
+                        name.lstrip("./") in present
+                        if "/" in name
+                        else name in basenames
+                    )
+                    if not found:
+                        errors.append(
+                            f"{path.relative_to(root)}:{lineno}: names "
+                            f"{name}, which does not exist in {root}"
+                        )
+    return errors
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -171,6 +212,7 @@ def main(argv: list[str] | None = None) -> int:
     errors = check_endpoints(args.docs_dir)
     errors.extend(check_cli_commands(args.docs_dir))
     errors.extend(check_cli_flags(args.docs_dir))
+    errors.extend(check_md_names(args.docs_dir.resolve().parent))
     for error in errors:
         print(f"check_docs: {error}", file=sys.stderr)
     if not errors:

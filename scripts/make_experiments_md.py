@@ -44,7 +44,7 @@ def fig5_section(table) -> str:
         "a visible but small gap through the middle k range; both approach 1",
         "by k≈12-13 (14 occupation values).",
         "",
-        "Measured (synthetic Adult, DESIGN.md §4):",
+        "Measured (synthetic Adult; see docs/architecture.md):",
         "",
         "| k | implications | negated atoms | gap |",
         "|---|--------------|---------------|-----|",
@@ -263,7 +263,8 @@ def main() -> None:
             "search claims of Sections 3.3-3.4 (timed in `benchmarks/`).",
             "",
             f"Dataset: synthetic Adult projection, {len(table)} rows, seed",
-            "20070419 (see DESIGN.md §4 for the substitution rationale;",
+            "20070419 (docs/architecture.md, \"Departures from the paper\",",
+            "item 1, gives the substitution rationale;",
             "`repro.data.loader.load_adult_file` drops in the real data).",
             "Absolute numbers differ from the paper's (different underlying",
             "histograms); every *shape* claim is reproduced and asserted in",

@@ -47,8 +47,9 @@ this package: every disclosure computation flows through
 >>> round(engine.evaluate(b, 1, model="negation"), 4)
 0.6667
 
-See ``README.md`` for the architecture and ``DESIGN.md`` for the paper
-mapping.
+See ``README.md`` for an overview and ``docs/architecture.md`` for the
+layers and the paper mapping (its "Departures from the paper" section
+lists where the code and the paper's text differ).
 """
 
 from repro.bucketization import (

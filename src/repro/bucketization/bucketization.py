@@ -21,6 +21,18 @@ from repro.errors import EmptyTableError
 __all__ = ["Bucketization"]
 
 
+def _raise_shared_person(buckets: Sequence[Bucket]) -> None:
+    """Raise for the first person found in two of ``buckets``."""
+    seen: dict[Any, int] = {}
+    for index, bucket in enumerate(buckets):
+        for pid in bucket.person_ids:
+            if pid in seen:
+                raise ValueError(
+                    f"person {pid!r} appears in buckets {seen[pid]} and {index}"
+                )
+            seen[pid] = index
+
+
 class Bucketization:
     """An immutable sequence of disjoint :class:`Bucket` objects.
 
@@ -39,13 +51,11 @@ class Bucketization:
             raise EmptyTableError("a bucketization needs at least one bucket")
         bucket_of: dict[Any, int] = {}
         for index, bucket in enumerate(bs):
-            for pid in bucket.person_ids:
-                if pid in bucket_of:
-                    raise ValueError(
-                        f"person {pid!r} appears in buckets "
-                        f"{bucket_of[pid]} and {index}"
-                    )
-                bucket_of[pid] = index
+            bucket_of.update(dict.fromkeys(bucket.person_ids, index))
+        # Ids are distinct within a bucket, so a short map means a person
+        # in two buckets.
+        if len(bucket_of) != sum(b.size for b in bs):
+            _raise_shared_person(bs)
         self._buckets = bs
         self._bucket_of = bucket_of
         self._signature_items: tuple[tuple[tuple[int, ...], int], ...] | None = None

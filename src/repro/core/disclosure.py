@@ -86,7 +86,10 @@ def max_disclosure(
 
     Examples
     --------
-    The paper's Figure 3 bucketization (see DESIGN.md on the 10/19 remark):
+    The paper's Figure 3 bucketization. The paper reports 10/19 for
+    ``k = 1``, via a cross-bucket implication; same-person implications,
+    which its definitions admit, reach 2/3 (``docs/architecture.md``,
+    "Departures from the paper", item 4):
 
     >>> from repro.bucketization import Bucketization
     >>> figure3 = Bucketization.from_value_lists([

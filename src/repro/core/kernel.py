@@ -30,6 +30,7 @@ can import it without cycles.
 
 from __future__ import annotations
 
+import math
 import warnings
 from collections.abc import Sequence
 
@@ -38,6 +39,7 @@ __all__ = [
     "numpy_available",
     "resolve_kernel",
     "minimize1_tables",
+    "TableStore",
     "min_ratio_backward",
 ]
 
@@ -98,11 +100,12 @@ def resolve_kernel(kernel: str, *, exact: bool = False) -> str:
     return "scalar"
 
 
-def minimize1_tables(
-    signatures: Sequence[tuple[int, ...]], max_m: int
-) -> list[list[float]]:
+def minimize1_tables(signatures: Sequence[tuple[int, ...]], max_m: int):
     """Batched MINIMIZE1: ``[solver.table(sig, max_m) for sig in signatures]``
     as one layered numpy pass, bit-identical to the scalar float DP.
+
+    Returns a float64 array of shape ``(len(signatures), max_m + 1)``:
+    row ``s`` is the table of ``signatures[s]``.
 
     ``signatures`` must be validated (non-empty, positive, non-increasing)
     by the caller; they need not be distinct, but callers that deduplicate
@@ -121,10 +124,8 @@ def minimize1_tables(
     if max_m < 0:
         raise ValueError(f"max_m must be non-negative, got {max_m}")
     sigs = [tuple(s) for s in signatures]
-    if not sigs:
-        return []
-    if max_m == 0:
-        return [[1.0] for _ in sigs]
+    if max_m == 0 or not sigs:
+        return np.ones((len(sigs), max_m + 1))
 
     width = max_m + 1
     count = len(sigs)
@@ -174,23 +175,116 @@ def minimize1_tables(
 
     diag = g_layer[:, rem_idx, rem_idx]  # table[s][m] = g(0, m, m)
     diag[:, 0] = 1.0
-    return diag.tolist()
+    return diag
+
+
+class TableStore:
+    """The float MINIMIZE1 tables of one solver, packed.
+
+    Row ``i`` of one growing float64 array holds the table of the signature
+    with dense id ``i``, NaN past the width it was solved to and on rows
+    never solved (a MINIMIZE1 value is never NaN). Against one Python list
+    of floats per signature this keeps 8 bytes per value instead of about
+    32 and needs no key map, and :meth:`matrix` hands the MINIMIZE2 pass
+    its rows without building a Python float per value.
+    """
+
+    __slots__ = ("_array",)
+
+    def __init__(self) -> None:
+        self._array = None
+
+    def ids(self) -> set[int]:
+        """The ids with a (possibly narrower) table stored."""
+        if self._array is None:
+            return set()
+        np = _numpy()
+        return set(np.flatnonzero(~np.isnan(self._array[:, 0])).tolist())
+
+    def cells(self) -> int:
+        """Number of table values stored."""
+        if self._array is None:
+            return 0
+        return self._array.size - int(_numpy().isnan(self._array).sum())
+
+    def value(self, sig_id: int, signature: tuple[int, ...], m: int) -> float:
+        """``table(signature)[m]``, solving it first when not stored."""
+        array = self._array
+        if array is not None and sig_id < len(array) and m < array.shape[1]:
+            value = array.item(sig_id, m)
+            if not math.isnan(value):
+                return value
+        self._put({sig_id: signature}, m)
+        return self._array.item(sig_id, m)
+
+    def matrix(
+        self,
+        ids: Sequence[int],
+        signatures: Sequence[tuple[int, ...]],
+        max_m: int,
+    ):
+        """The tables of ``signatures`` (with dense ids ``ids``) to width
+        ``max_m + 1``, as one ``(len(ids), max_m + 1)`` array."""
+        self._ensure(ids, signatures, max_m)
+        return self._array[list(ids), : max_m + 1]
+
+    def _ensure(self, ids, signatures, max_m: int) -> None:
+        """Solve, in one vectorized pass, every table not yet stored to
+        ``max_m``."""
+        array = self._array
+        rows, columns = (0, 0) if array is None else array.shape
+        missing: dict[int, tuple[int, ...]] = {}
+        for sig_id, sig in zip(ids, signatures):
+            # A table solved to a narrower width is NaN at ``max_m``.
+            if (
+                sig_id >= rows
+                or max_m >= columns
+                or math.isnan(array.item(sig_id, max_m))
+            ):
+                missing[sig_id] = sig
+        if missing:
+            self._put(missing, max_m)
+
+    def _put(self, missing: dict[int, tuple[int, ...]], max_m: int) -> None:
+        """Solve ``missing`` (id -> signature) and write the tables,
+        growing the array as needed.
+
+        A wider table has identical prefixes (the DP's candidate set per
+        state does not depend on ``max_m``), so overwriting a narrower row
+        never changes earlier values.
+        """
+        np = _numpy()
+        solved = minimize1_tables(list(missing.values()), max_m)
+        width = max_m + 1
+        array = self._array
+        rows, columns = (0, 0) if array is None else array.shape
+        needed = max(missing) + 1
+        if needed > rows or width > columns:
+            if needed > rows:
+                # Grow by half again so appends stay amortized O(1).
+                rows = max(needed, rows + rows // 2)
+            grown = np.full((rows, max(width, columns)), np.nan)
+            if array is not None:
+                grown[: len(array), :columns] = array
+            self._array = array = grown
+        array[list(missing), :width] = solved
 
 
 def min_ratio_backward(
-    tables: Sequence[Sequence[float]],
+    tables,
     boosts: Sequence[float],
     max_k: int,
 ) -> list[tuple[list[float], list[float]]]:
     """MINIMIZE2's backward pass over pre-computed MINIMIZE1 tables.
 
-    ``tables[i]`` is the float MINIMIZE1 table of bucket ``i`` (forward
-    order, length at least ``max_k + 2``) and ``boosts[i] = n_i / top_i``
-    its consequent-hosting boost. Returns the ``_after`` list in the same
-    layout the scalar :class:`~repro.core.minimize2.MinRatioComputation`
-    builds *before* reversal: the boundary pair first, then one
-    ``(fa, ff)`` pair per bucket processed back-to-front, as plain Python
-    float lists so witness reconstruction walks them unchanged.
+    ``tables`` is a float64 array whose row ``i`` is the MINIMIZE1 table
+    of bucket ``i`` (forward order, at least ``max_k + 2`` columns) and
+    ``boosts[i] = n_i / top_i`` its consequent-hosting boost. Returns the
+    ``_after`` list in the same layout the scalar
+    :class:`~repro.core.minimize2.MinRatioComputation` builds *before*
+    reversal: the boundary pair first, then one ``(fa, ff)`` pair per
+    bucket processed back-to-front, as plain Python float lists so witness
+    reconstruction walks them unchanged.
     """
     np = _numpy()
     if np is None:  # pragma: no cover - callers gate on resolve_kernel
@@ -217,9 +311,9 @@ def min_ratio_backward(
         prod = np.where(valid, prod, inf)
         return prod.min(axis=0)
 
-    for table, boost in zip(reversed(tables), reversed(boosts)):
-        g = np.asarray(table[:width], dtype=np.float64)
-        ghat = np.asarray(table[1 : width + 1], dtype=np.float64) * boost
+    for table, boost in zip(tables[::-1], reversed(boosts)):
+        g = table[:width]
+        ghat = table[1 : width + 1] * boost
         new_fa = conv_min(g, fa)
         new_ff = np.minimum(conv_min(g, ff), conv_min(ghat, fa))
         fa, ff = new_fa, new_ff

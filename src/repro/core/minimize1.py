@@ -12,7 +12,8 @@ so minimizing over atom sets becomes minimizing over integer partitions of
 ``m``. This module provides:
 
 - :func:`lemma12_probability` — the closed form for one partition (with the
-  factor clamped at 0; see DESIGN.md "known discrepancies" item 3),
+  factor clamped at 0, since a negative factor is an impossible event; see
+  ``docs/architecture.md``, "Departures from the paper", item 2),
 - :class:`Minimize1Solver` — the paper's memoized ``O(k^3)`` dynamic program,
   usable in float or exact-:class:`~fractions.Fraction` arithmetic,
 - :func:`minimize1_reference` / :func:`best_partition` — direct enumeration
@@ -174,11 +175,13 @@ class Minimize1Solver:
         Use :class:`~fractions.Fraction` arithmetic (slower, exact) instead
         of floats.
     intern:
-        Optional ``signature -> hashable id`` mapping (e.g.
-        ``SignaturePlane.intern``). When provided, the memo is keyed by the
-        interned id instead of the raw signature tuple, so a plane shared
-        with the engine pays for hashing each signature once instead of on
-        every lookup.
+        Optional ``signature -> id`` mapping handing out dense ids
+        ``0, 1, 2, ...`` in first-seen order (e.g.
+        ``SignaturePlane.intern``). The memo is keyed by the id, and the id
+        is the signature's row in the numpy kernel's packed table store, so
+        a plane shared with the engine pays for hashing each signature once
+        instead of on every lookup. Without one the solver numbers
+        signatures itself.
     kernel:
         ``"auto"`` (vectorized when numpy is available and the solver is in
         float mode), ``"numpy"``, or ``"scalar"`` — resolved once via
@@ -192,9 +195,11 @@ class Minimize1Solver:
         self._exact = exact
         self._one = Fraction(1) if exact else 1.0
         self._intern = intern
-        self._memo: dict[object, dict] = {}
-        self._tables: dict[object, list] = {}
+        self._ids: dict[tuple[int, ...], int] = {}
+        self._memo: dict[int, dict] = {}
         self._kernel = _kernel.resolve_kernel(kernel, exact=exact)
+        # The numpy kernel's tables, packed into one float64 array.
+        self._tables = _kernel.TableStore()
 
     @property
     def exact(self) -> bool:
@@ -206,8 +211,10 @@ class Minimize1Solver:
         """The concrete kernel in use: ``"numpy"`` or ``"scalar"``."""
         return self._kernel
 
-    def _key(self, sig: tuple[int, ...]):
-        return sig if self._intern is None else self._intern(sig)
+    def _key(self, sig: tuple[int, ...]) -> int:
+        if self._intern is not None:
+            return self._intern(sig)
+        return self._ids.setdefault(sig, len(self._ids))
 
     def minimum(self, signature: Sequence[int], m: int):
         """Minimum of ``Pr(AND_{i in [m]} NOT A_i | B)`` for ``m`` atoms in a
@@ -218,12 +225,7 @@ class Minimize1Solver:
         if m == 0:
             return self._one
         if self._kernel == "numpy":
-            key = self._key(sig)
-            cached = self._tables.get(key)
-            if cached is None or len(cached) <= m:
-                self.tables([sig], m)
-                cached = self._tables[key]
-            return cached[m]
+            return self._tables.value(self._key(sig), sig, m)
         n = sum(sig)
         prefix = _prefix_sums(sig)
         d = len(sig)
@@ -279,25 +281,23 @@ class Minimize1Solver:
         kernel simply loops. Values are identical either way — the
         vectorized DP reproduces the scalar float path bit-for-bit.
         """
+        if self._kernel == "numpy":
+            return self.table_matrix(signatures, max_m).tolist()
         if max_m < 0:
             raise ValueError(f"max_m must be non-negative, got {max_m}")
         sigs = [_validate_signature(s) for s in signatures]
+        return [self.table(sig, max_m) for sig in sigs]
+
+    def table_matrix(self, signatures: Sequence[Sequence[int]], max_m: int):
+        """Numpy kernel only: :meth:`tables` as a float64 array of shape
+        ``(len(signatures), max_m + 1)``, gathered straight from the packed
+        store without building a Python float per value."""
         if self._kernel != "numpy":
-            return [self.table(sig, max_m) for sig in sigs]
-        keys = [self._key(sig) for sig in sigs]
-        missing: dict[object, tuple[int, ...]] = {}
-        for key, sig in zip(keys, sigs):
-            cached = self._tables.get(key)
-            if cached is None or len(cached) <= max_m:
-                missing[key] = sig
-        if missing:
-            solved = _kernel.minimize1_tables(list(missing.values()), max_m)
-            # A wider cached table has identical prefixes (the DP's
-            # candidate set per state does not depend on max_m), so
-            # overwriting a narrower entry never changes earlier values.
-            for key, tbl in zip(missing, solved):
-                self._tables[key] = tbl
-        return [self._tables[key][: max_m + 1] for key in keys]
+            raise ValueError("table_matrix needs the numpy kernel")
+        if max_m < 0:
+            raise ValueError(f"max_m must be non-negative, got {max_m}")
+        sigs = [_validate_signature(s) for s in signatures]
+        return self._tables.matrix([self._key(sig) for sig in sigs], sigs, max_m)
 
     def memo_size(self) -> int:
         """Total number of memoized DP states (for the incremental bench).
@@ -306,11 +306,11 @@ class Minimize1Solver:
         the vectorized pass keeps no per-``(i, cap, rem)`` memo.
         """
         states = sum(len(states) for states in self._memo.values())
-        return states + sum(len(tbl) for tbl in self._tables.values())
+        return states + self._tables.cells()
 
     def known_signatures(self) -> int:
         """Number of distinct bucket signatures solved so far."""
-        return len(self._memo.keys() | self._tables.keys())
+        return len(self._memo.keys() | self._tables.ids())
 
 
 def resolve_solver(

@@ -12,7 +12,8 @@ atom ``A``; the bucket hosting ``A`` contributes
 ``MINIMIZE1(b, m+1) * n_b / n_b(s_b^0)`` and every other bucket contributes
 ``MINIMIZE1(b, m)``.
 
-Implementation notes (see DESIGN.md Section 6):
+Implementation notes (also in ``docs/architecture.md``, "Departures from the
+paper", item 3):
 
 - The DP runs **iteratively** (one backward pass over the bucket list), so
   there is no recursion-depth limit for bucketizations with tens of
@@ -112,7 +113,7 @@ class MinRatioComputation:
         # contributed by buckets i..end when h antecedent atoms remain and A
         # is already placed (fa) or still to place (ff).
         if solver.kernel == "numpy":
-            tables = solver.tables(sigs, max_k + 1)
+            tables = solver.table_matrix(sigs, max_k + 1)
             boosts = [sum(s) / s[0] for s in sigs]
             self._after = _kernel.min_ratio_backward(tables, boosts, max_k)
             self._after.reverse()

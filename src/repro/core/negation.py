@@ -84,10 +84,16 @@ def bucket_negation_disclosure(
 def max_disclosure_negations(
     bucketization: Bucketization, k: int, *, exact: bool = False
 ):
-    """Worst-case disclosure of the whole bucketization for ``k`` negations."""
+    """Worst-case disclosure of the whole bucketization for ``k`` negations.
+
+    A bucket's worst case depends only on its signature, so the maximum runs
+    over the distinct signatures, not over every bucket.
+    """
+    if k < 0:
+        raise ValueError(f"k must be non-negative, got {k}")
     return max(
-        bucket_negation_disclosure(bucket, k, exact=exact)
-        for bucket in bucketization.buckets
+        _best_for_signature(signature, k, exact=exact)[0]
+        for signature, _ in bucketization.signature_items()
     )
 
 

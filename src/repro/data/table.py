@@ -38,7 +38,7 @@ class Table:
     ('Flu',)
     """
 
-    __slots__ = ("_rows", "_schema", "_person_ids")
+    __slots__ = ("_rows", "_schema", "_person_ids", "_sensitive", "_qi_classes")
 
     def __init__(self, rows: Iterable[Mapping[str, Any]], schema: Schema) -> None:
         self._schema = schema
@@ -53,6 +53,10 @@ class Table:
         else:
             ids = tuple(range(len(self._rows)))
         self._person_ids: tuple[Any, ...] = ids
+        # Built on first use by sensitive_values() / qi_classes():
+        # constructing a table stays a copy-and-validate pass.
+        self._sensitive: tuple[Any, ...] | None = None
+        self._qi_classes: tuple[tuple[tuple, tuple[int, ...]], ...] | None = None
 
     # ------------------------------------------------------------------
     # Basic container protocol
@@ -110,9 +114,11 @@ class Table:
         return self._rows[index]
 
     def sensitive_values(self) -> tuple[Any, ...]:
-        """The sensitive column, in row order."""
-        s = self._schema.sensitive
-        return tuple(r[s] for r in self._rows)
+        """The sensitive column, in row order (built once, on first use)."""
+        if self._sensitive is None:
+            s = self._schema.sensitive
+            self._sensitive = tuple(r[s] for r in self._rows)
+        return self._sensitive
 
     def sensitive_domain(self) -> tuple[Any, ...]:
         """Distinct sensitive values present, in sorted order."""
@@ -166,6 +172,34 @@ class Table:
         chosen = sorted(rng.sample(range(len(self)), n))
         return Table([self._rows[i] for i in chosen], self._schema)
 
+    def qi_classes(self) -> tuple[tuple[tuple, tuple[int, ...]], ...]:
+        """The ground quasi-identifier equivalence classes, as
+        ``(qi tuple, row indices)`` pairs.
+
+        Classes come in order of first appearance and row indices in row
+        order. Grouping is done once, on first use, and kept (the table is
+        immutable): every full-domain generalization of the table is a
+        merge of these classes, which is how
+        :func:`~repro.generalization.apply.bucketize_at` avoids regrouping
+        the rows at each lattice node.
+        """
+        if self._qi_classes is None:
+            groups: dict[tuple, list[int]] = {}
+            qi_tuple = self._schema.qi_tuple
+            # Without an identifier column the person ids are the row
+            # indices: reuse those int objects instead of allocating more.
+            indices = (
+                self._person_ids
+                if self._schema.identifier is None
+                else range(len(self._rows))
+            )
+            for index, record in zip(indices, self._rows):
+                groups.setdefault(qi_tuple(record), []).append(index)
+            self._qi_classes = tuple(
+                (key, tuple(rows)) for key, rows in groups.items()
+            )
+        return self._qi_classes
+
     def group_by_qi(self) -> dict[tuple, list[Any]]:
         """Group person ids by their (current) quasi-identifier tuple.
 
@@ -173,10 +207,8 @@ class Table:
         in row order. This is the equivalence-class structure that both
         k-anonymity and bucketization operate on.
         """
-        groups: dict[tuple, list[Any]] = {}
-        for pid, record in zip(self._person_ids, self._rows):
-            groups.setdefault(self._schema.qi_tuple(record), []).append(pid)
-        return groups
+        pids = self._person_ids
+        return {key: [pids[i] for i in rows] for key, rows in self.qi_classes()}
 
     def require_nonempty(self) -> None:
         """Raise :class:`EmptyTableError` if the table has no rows."""

@@ -42,6 +42,7 @@ from typing import Any, ClassVar
 from repro.engine.plane import (
     SignaturePlane,
     evaluate_raw_multisets,
+    key_pairs,
     parallel_series,
 )
 from repro.errors import ReproError
@@ -186,7 +187,9 @@ def _persistent_worker(conn) -> None:
                 contexts[(exact, kernel)] = context
             results = []
             for task in tasks:
-                raw = tuple((mirror[sig_id], count) for sig_id, count in task)
+                raw = tuple(
+                    (mirror[sig_id], count) for sig_id, count in key_pairs(task)
+                )
                 results.append(
                     model.series(
                         Bucketization.from_signature_counts(raw),

@@ -37,7 +37,9 @@ immediately usable everywhere.
 
 from __future__ import annotations
 
+import os
 import pickle
+import tempfile
 from collections import OrderedDict
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from contextlib import contextmanager
@@ -386,6 +388,11 @@ class DisclosureEngine:
         plane-local and would be meaningless elsewhere); a different engine —
         or the same service after a restart — re-interns them on
         :meth:`load_cache`. Returns the number of entries written.
+
+        The file is written whole or not at all: the payload goes to a
+        temporary file in the same directory, is flushed to disk, and then
+        atomically replaces ``path``, so a crash mid-save leaves the old
+        file (or none), never a torn one.
         """
         entries = []
         for key, value in self._cache.items():
@@ -398,8 +405,23 @@ class DisclosureEngine:
             "exact": self.exact,
             "entries": entries,
         }
-        with open(path, "wb") as handle:
-            pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
+        path = os.fspath(path)
+        handle = tempfile.NamedTemporaryFile(
+            "wb",
+            dir=os.path.dirname(path) or ".",
+            prefix=os.path.basename(path) + ".",
+            suffix=".tmp",
+            delete=False,
+        )
+        try:
+            with handle:
+                pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
+                handle.flush()
+                os.fsync(handle.fileno())
+            os.replace(handle.name, path)
+        except BaseException:
+            os.unlink(handle.name)
+            raise
         return len(entries)
 
     def load_cache(self, path) -> int:

@@ -10,8 +10,9 @@ per bucketization. The :class:`SignaturePlane` does that work once:
 - :meth:`SignaturePlane.intern` maps each distinct signature to a dense
   integer id (one tuple hash per *new* signature, ever);
 - :meth:`SignaturePlane.encode` represents any bucketization as a compact
-  id-multiset — a small sorted tuple of ``(signature id, count)`` pairs —
-  which is the engine's cache key and the unit of work for batch execution;
+  id-multiset — its ``(signature id, count)`` pairs sorted by id and
+  flattened into one tuple of ints — which is the engine's cache key and
+  the unit of work for batch execution;
 - :meth:`SignaturePlane.decode` turns a key back into raw signatures, so a
   cache key is *portable*: it can be shipped to a worker process (which
   rebuilds an evaluation-equivalent bucketization via
@@ -29,8 +30,9 @@ bit-for-bit identical to the serial path.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from itertools import chain
 
 from repro.bucketization.bucketization import Bucketization
 
@@ -39,12 +41,25 @@ __all__ = [
     "CachePolicy",
     "parallel_series",
     "evaluate_raw_multisets",
+    "key_pairs",
 ]
 
-#: A plane-encoded bucketization: ``((signature id, count), ...)`` sorted by id.
+#: A plane-encoded bucketization: ``(id, count, id, count, ...)``, its
+#: ``(signature id, count)`` pairs sorted by id and flattened. Flat, a pair
+#: costs two tuple slots instead of a tuple of its own (16 bytes, not 64),
+#: and every cache entry holds one of these.
 PlaneKey = tuple
 #: A portable (plane-independent) form: ``((signature, count), ...)``.
 RawMultiset = tuple
+
+
+def _flatten(pairs: Iterable[tuple[int, int]]) -> PlaneKey:
+    return tuple(chain.from_iterable(sorted(pairs)))
+
+
+def key_pairs(key: PlaneKey) -> Iterator[tuple[int, int]]:
+    """The ``(signature id, count)`` pairs of a plane key, in id order."""
+    return zip(key[::2], key[1::2])
 
 
 class SignaturePlane:
@@ -60,7 +75,7 @@ class SignaturePlane:
     >>> plane = SignaturePlane()
     >>> b = Bucketization.from_value_lists([["a", "a", "b"], ["x", "x", "y"]])
     >>> plane.encode(b)                # both buckets share signature (2, 1)
-    ((0, 2),)
+    (0, 2)
     >>> plane.signature(0)
     (2, 1)
     >>> plane.decode(plane.encode(b))
@@ -107,19 +122,17 @@ class SignaturePlane:
 
     def encode(self, bucketization: Bucketization) -> PlaneKey:
         """``bucketization`` as a compact id-multiset (sorted by id)."""
-        return tuple(
-            sorted(
-                (self.intern(signature), count)
-                for signature, count in bucketization.signature_items()
-            )
+        return _flatten(
+            (self.intern(signature), count)
+            for signature, count in bucketization.signature_items()
         )
 
     def encode_counts(self, counts) -> PlaneKey:
         """Like :meth:`encode`, from raw ``(signature, count)`` pairs or a
         mapping — the re-interning half of a decode round-trip."""
         items = counts.items() if hasattr(counts, "items") else counts
-        return tuple(
-            sorted((self.intern(signature), count) for signature, count in items)
+        return _flatten(
+            (self.intern(signature), count) for signature, count in items
         )
 
     def probe(self, items) -> PlaneKey | None:
@@ -139,13 +152,12 @@ class SignaturePlane:
             if sig_id is None:
                 return None
             out.append((sig_id, count))
-        out.sort()
-        return tuple(out)
+        return _flatten(out)
 
     def decode(self, key: PlaneKey) -> RawMultiset:
         """A plane key back as portable ``((signature, count), ...)`` pairs."""
         return tuple(
-            (self._signatures[sig_id], count) for sig_id, count in key
+            (self._signatures[sig_id], count) for sig_id, count in key_pairs(key)
         )
 
 

@@ -1228,6 +1228,7 @@ class ShardRouter(JsonHttpServer):
                 "single_requests",
                 "batch_requests",
                 "cache_fast_hits",
+                "cache_load_failures",
                 "coalesced_batches",
                 "coalesced_singles",
                 "publishes_total",

@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import pickle
 import re
 import time
 from collections import Counter
@@ -332,6 +333,7 @@ class ServiceStats:
         self.single_requests = 0
         self.batch_requests = 0
         self.cache_fast_hits = 0
+        self.cache_load_failures = 0
         self.coalesced_batches = 0
         self.coalesced_singles = 0
         self.max_coalesced = 0
@@ -370,6 +372,7 @@ class ServiceStats:
             "single_requests": self.single_requests,
             "batch_requests": self.batch_requests,
             "cache_fast_hits": self.cache_fast_hits,
+            "cache_load_failures": self.cache_load_failures,
             "coalesced_batches": self.coalesced_batches,
             "coalesced_singles": self.coalesced_singles,
             "max_coalesced": self.max_coalesced,
@@ -562,12 +565,21 @@ class DisclosureService(JsonHttpServer):
         feeds it through :meth:`~repro.service.httpbase.JsonHttpServer.dispatch`,
         so the engines, coalescer, stats and cache lifecycle behave exactly
         as in a subprocess shard — minus the socket and the extra process.
+
+        A cache file that cannot be unpickled (truncated or garbage) does
+        not stop the boot: that engine starts cold and the failure is
+        counted in ``cache_load_failures``. A readable file saved in another
+        format or arithmetic mode still raises.
         """
         if self.cache_path is not None:
             for tenant, mode, engine in self._all_engines():
                 path = self._mode_cache_file(mode, tenant)
                 if path.exists():
-                    loaded = engine.load_cache(path)
+                    try:
+                        loaded = engine.load_cache(path)
+                    except (pickle.UnpicklingError, EOFError):
+                        self.stats.cache_load_failures += 1
+                        continue
                     if tenant is None:
                         self.loaded_entries[mode] = loaded
                     else:

@@ -4,10 +4,17 @@ from __future__ import annotations
 
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.bucketization import Bucketization
 from repro.core.safety import SafetyChecker
+from repro.data.schema import Schema
+from repro.data.table import Table
 from repro.errors import SearchError
 from repro.generalization.apply import bucketize_at, generalize_table
-from repro.generalization.hierarchy import SUPPRESSED
+from repro.generalization.hierarchy import SUPPRESSED, Hierarchy
+from repro.generalization.lattice import GeneralizationLattice
 from repro.generalization.search import (
     SearchStats,
     binary_search_chain,
@@ -15,6 +22,111 @@ from repro.generalization.search import (
     find_minimal_safe_nodes,
 )
 from repro.utility.metrics import precision
+
+
+def row_by_row(table, lattice, node) -> Bucketization:
+    """The oracle ``bucketize_at`` must reproduce: every row grouped by its
+    generalized QI key, one row at a time."""
+    node = lattice.validate(node)
+    attributes = table.schema.quasi_identifiers
+
+    def key(record):
+        return tuple(
+            lattice.generalize_value(a, record[a], node) for a in attributes
+        )
+
+    return Bucketization.from_table(table, key=key)
+
+
+def assert_identical(got: Bucketization, expected: Bucketization) -> None:
+    """Bucket order, person-id order, sensitive-value order and the
+    signature multiset all equal."""
+    assert len(got) == len(expected)
+    for mine, theirs in zip(got.buckets, expected.buckets):
+        assert mine.person_ids == theirs.person_ids
+        assert mine.sensitive_values == theirs.sensitive_values
+        assert mine.signature == theirs.signature
+        assert mine.values_by_frequency == theirs.values_by_frequency
+    assert got.signature_items() == expected.signature_items()
+
+
+#: Small random tables for the roll-up property: two QI attributes with a
+#: grouping hierarchy each, and a three-value sensitive attribute.
+_SCHEMA = Schema(quasi_identifiers=("a", "b"), sensitive="s")
+_LATTICE = GeneralizationLattice(
+    {
+        "a": Hierarchy.from_intervals("a", [2, 4], origin=0),
+        "b": Hierarchy.from_grouping("b", [{"x": "xy", "y": "xy", "z": "z"}]),
+    },
+    ("a", "b"),
+)
+_rows = st.lists(
+    st.fixed_dictionaries(
+        {
+            "a": st.integers(min_value=0, max_value=9),
+            "b": st.sampled_from("xyz"),
+            "s": st.sampled_from(["flu", "cold", "mumps"]),
+        }
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+class TestRollUp:
+    """``bucketize_at`` rolls a node up from the table's ground QI classes;
+    it must be the row-by-row bucketization, bit for bit."""
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_every_adult_node(self, seed, adult_lattice):
+        pytest.importorskip("numpy", reason="the Adult generator needs numpy")
+        from repro.data.adult import generate_adult
+
+        table = generate_adult(3000, seed=seed)
+        for node in adult_lattice.nodes():
+            assert_identical(
+                bucketize_at(table, adult_lattice, node),
+                row_by_row(table, adult_lattice, node),
+            )
+
+    def test_identifier_column(self, figure1_table):
+        lattice = GeneralizationLattice(
+            {
+                "Zip": Hierarchy.from_grouping(
+                    "Zip", [{"14850": "1485*", "14853": "1485*"}]
+                ),
+                "Age": Hierarchy.from_intervals("Age", [5, 10], origin=20),
+                "Sex": Hierarchy.identity_or_suppress("Sex"),
+            },
+            ("Zip", "Age", "Sex"),
+        )
+        for node in lattice.nodes():
+            got = bucketize_at(figure1_table, lattice, node)
+            assert_identical(got, row_by_row(figure1_table, lattice, node))
+            assert set(got.person_ids) == set(figure1_table.person_ids)
+        # Figure 3 is the (zip prefix, any age, sex) node.
+        figure3 = bucketize_at(figure1_table, lattice, (1, 3, 0))
+        assert [b.person_ids for b in figure3] == [
+            ("Gloria", "Hannah", "Irma", "Jessica", "Karen"),
+            ("Bob", "Charlie", "Dave", "Ed", "Frank"),
+        ]
+
+    @given(rows=_rows)
+    @settings(max_examples=60, deadline=None)
+    def test_random_tables(self, rows):
+        table = Table(rows, _SCHEMA)
+        for node in _LATTICE.nodes():
+            assert_identical(
+                bucketize_at(table, _LATTICE, node),
+                row_by_row(table, _LATTICE, node),
+            )
+
+    def test_classes_are_memoized_lazily(self, figure1_table):
+        table = Table(figure1_table.rows, figure1_table.schema)
+        assert table._qi_classes is None  # construction does not group
+        classes = table.qi_classes()
+        assert table.qi_classes() is classes
+        assert sum(len(rows) for _, rows in classes) == len(table)
 
 
 class TestApply:
@@ -36,13 +148,13 @@ class TestApply:
     def test_bucketize_at_matches_generalized_groups(
         self, small_adult, adult_lattice
     ):
-        node = (4, 2, 1, 0)
-        direct = bucketize_at(small_adult, adult_lattice, node)
-        via_table = generalize_table(small_adult, adult_lattice, node)
-        from repro.bucketization import Bucketization
-
-        expected = Bucketization.from_table(via_table)
-        assert direct.partition_frozen() == expected.partition_frozen()
+        # Every node, against both oracles: grouping the rows one by one,
+        # and bucketizing the materialized generalized table.
+        for node in adult_lattice.nodes():
+            direct = bucketize_at(small_adult, adult_lattice, node)
+            assert_identical(direct, row_by_row(small_adult, adult_lattice, node))
+            via_table = generalize_table(small_adult, adult_lattice, node)
+            assert_identical(direct, Bucketization.from_table(via_table))
 
     def test_top_node_single_bucket(self, small_adult, adult_lattice):
         b = bucketize_at(small_adult, adult_lattice, adult_lattice.top)

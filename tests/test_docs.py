@@ -99,6 +99,21 @@ class TestCheckDocs:
         assert "--no-such-flag" in result.stderr
         assert "deployment.md" in result.stderr
 
+    def test_dangling_md_name_in_code_fails(self, tmp_path):
+        docs_dir = copy_docs(tmp_path)
+        missing = "GONE" + ".md"  # split, or this file would name it too
+        module = tmp_path / "src" / "pkg" / "notes.py"
+        module.parent.mkdir(parents=True)
+        module.write_text(
+            f'"""See docs/architecture.md and {missing} for the why."""\n'
+        )
+        result = run_checker("--docs-dir", str(docs_dir))
+        assert result.returncode == 1
+        assert missing in result.stderr
+        assert "notes.py:1" in result.stderr
+        # The existing guide it also names is fine.
+        assert "architecture.md" not in result.stderr
+
     def test_missing_wire_doc_fails(self, tmp_path):
         docs_dir = copy_docs(tmp_path)
         (docs_dir / "wire-protocol.md").unlink()

@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bucketization import Bucket, Bucketization
 from repro.core.exact import exact_max_disclosure_negations
@@ -118,3 +120,39 @@ class TestWitness:
             assert witness.disclosure == max_disclosure_negations(
                 figure3, k, exact=True
             )
+
+
+#: Small bucketizations with repeated signatures: value lists over a
+#: three-letter domain.
+_value_lists = st.lists(
+    st.lists(st.sampled_from("abc"), min_size=1, max_size=6),
+    min_size=1,
+    max_size=8,
+)
+
+
+class TestDistinctSignatures:
+    """The maximum runs over distinct signatures; it must equal the
+    maximum over every bucket, bit for bit."""
+
+    @given(lists=_value_lists, k=st.integers(min_value=0, max_value=4))
+    @settings(max_examples=80, deadline=None)
+    def test_float_matches_per_bucket_max(self, lists, k):
+        bucketization = Bucketization.from_value_lists(lists)
+        per_bucket = max(
+            bucket_negation_disclosure(bucket, k) for bucket in bucketization
+        )
+        got = max_disclosure_negations(bucketization, k)
+        assert got.hex() == per_bucket.hex()
+
+    @given(lists=_value_lists, k=st.integers(min_value=0, max_value=4))
+    @settings(max_examples=80, deadline=None)
+    def test_exact_matches_per_bucket_max(self, lists, k):
+        bucketization = Bucketization.from_value_lists(lists)
+        per_bucket = max(
+            bucket_negation_disclosure(bucket, k, exact=True)
+            for bucket in bucketization
+        )
+        got = max_disclosure_negations(bucketization, k, exact=True)
+        assert isinstance(got, Fraction)
+        assert got == per_bucket

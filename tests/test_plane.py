@@ -79,7 +79,7 @@ class TestSignaturePlane:
     def test_encode_counts_multiplicity(self):
         plane = SignaturePlane()
         b = Bucketization.from_value_lists([["a", "a", "b"], ["x", "x", "y"]])
-        assert plane.encode(b) == ((0, 2),)
+        assert plane.encode(b) == (0, 2)
         assert plane.decode(plane.encode(b)) == (((2, 1), 2),)
 
     @given(small_bucketizations)

@@ -955,3 +955,40 @@ def test_background_service_cache_roundtrip(tmp_path, figure3_like):
             + after["service"]["cache_fast_hits"]
             >= 1
         )
+
+
+def test_torn_cache_file_boots_cold(tmp_path, figure3_like):
+    """A cache file cut to half its size is counted, not fatal: the engine
+    starts cold and the service answers exactly as before."""
+    prefix = tmp_path / "torn"
+    with BackgroundService(backend="serial", cache_path=prefix) as bg:
+        first = bg.client().disclosure(figure3_like, 3, model="negation")
+    cache_file = tmp_path / "torn.float.pkl"
+    assert not list(tmp_path.glob("*.tmp"))  # the save left no temp file
+    data = cache_file.read_bytes()
+    cache_file.write_bytes(data[: len(data) // 2])
+    with BackgroundService(backend="serial", cache_path=prefix) as bg:
+        client = bg.client()
+        stats = client.stats()
+        assert stats["service"]["cache_load_failures"] == 1
+        assert stats["engines"]["float"]["loaded_entries"] == 0
+        assert client.disclosure(figure3_like, 3, model="negation") == first
+    # The clean shutdown rewrote a whole file: the next boot loads it.
+    with BackgroundService(backend="serial", cache_path=prefix) as bg:
+        stats = bg.client().stats()
+        assert stats["service"]["cache_load_failures"] == 0
+        assert stats["engines"]["float"]["loaded_entries"] >= 1
+
+
+def test_cache_file_from_other_mode_still_raises(tmp_path):
+    """Only unreadable files are forgiven: a readable file saved by the
+    other arithmetic mode still stops the boot."""
+    from repro.engine import DisclosureEngine
+
+    DisclosureEngine(exact=True).save_cache(tmp_path / "mixed.float.pkl")
+    service = BackgroundService(
+        backend="serial", cache_path=tmp_path / "mixed"
+    )
+    with pytest.raises(RuntimeError, match="failed to start") as failure:
+        service.__enter__()
+    assert "arithmetic modes must match" in str(failure.value.__cause__)
